@@ -891,7 +891,9 @@ func (e *Engine) writeback() {
 			e.broadcast(en)
 		}
 		// Width overflow (rare): the remainder waits in wbReady.
-		e.wbReady = append(e.wbReady, due[broadcasts:]...)
+		if broadcasts < len(due) {
+			e.wbReady = append(e.wbReady, due[broadcasts:]...)
+		}
 		e.wbNext = due[:0]
 		return
 	}

@@ -9,7 +9,9 @@
 // instruction budget), each distinct trace is generated exactly once, and
 // every point replays an independent snapshot. Most design-space sweeps
 // vary only engine parameters (width, queue depths, cache geometry), so a
-// whole sweep typically costs a single generation.
+// whole sweep typically costs a single generation; keys that differ only in
+// the wrong-path block length (reorder-buffer or fetch-queue sweeps) cost
+// one generation plus cheap derivations (see tracecache.DispatchOrder).
 package sweep
 
 import (
@@ -228,12 +230,13 @@ feed:
 }
 
 // feedOrder returns the order point indices are handed to workers. With a
-// trace cache in play, points are grouped by trace key and the first point
-// of every distinct key goes to the front: the distinct generations fan out
-// across the worker pool in parallel, and by the time the remaining points
-// run their traces are warm (they block on the in-flight generation rather
-// than duplicating it). Results are written by index, so scheduling order
-// never affects output order.
+// trace cache in play, the first point of every distinct trace key goes to
+// the front, in tracecache.DispatchOrder (each wrong-path family's longest
+// key first, so its shorter members can derive from it): the distinct
+// traces fan out across the worker pool in parallel, and by the time the
+// remaining points run their traces are warm (they block on the in-flight
+// trace rather than duplicating it). Results are written by index, so
+// scheduling order never affects output order.
 func (r Runner) feedOrder(points []Point, traces *tracecache.Cache) []int {
 	order := make([]int, 0, len(points))
 	if traces == nil || !traces.Cacheable(r.Instructions) {
@@ -243,7 +246,8 @@ func (r Runner) feedOrder(points []Point, traces *tracecache.Cache) []int {
 		return order
 	}
 	seen := make(map[tracecache.Key]bool, len(points))
-	var rest []int
+	var keys []tracecache.Key
+	var firsts, rest []int
 	for i := range points {
 		k := tracecache.KeyFor(r.Workload, points[i].Config.TraceConfig(), r.Instructions)
 		if seen[k] {
@@ -251,7 +255,11 @@ func (r Runner) feedOrder(points []Point, traces *tracecache.Cache) []int {
 			continue
 		}
 		seen[k] = true
-		order = append(order, i)
+		keys = append(keys, k)
+		firsts = append(firsts, i)
+	}
+	for _, j := range tracecache.DispatchOrder(keys) {
+		order = append(order, firsts[j])
 	}
 	return append(order, rest...)
 }

@@ -286,3 +286,20 @@ type countingTracer struct{ n int }
 
 func (c *countingTracer) Fetched(int64, int64, uint32, string, bool) { c.n++ }
 func (c *countingTracer) Stage(int64, int64, string)                 { c.n++ }
+
+// TestFeedOrderFamilyFirst: the first point of every distinct trace key
+// leads, each wrong-path family's longest key first, then the repeats.
+func TestFeedOrderFamilyFirst(t *testing.T) {
+	r := gzipRunner(t)
+	pts := Grid("rb", core.DefaultConfig(), []int{8, 16, 32}, func(c *core.Config, v int) { c.RBSize = v })
+	pts = append(pts, pts[0]) // a repeat of rb=8's key
+	perfect := core.DefaultConfig()
+	perfect.PerfectBP = true
+	pts = append(pts, Point{Name: "perfectbp", Config: perfect})
+	if got, want := r.feedOrder(pts, tracecache.New(tracecache.Config{})), []int{2, 4, 0, 1, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("feedOrder = %v, want %v", got, want)
+	}
+	if got, want := r.feedOrder(pts, nil), []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("feedOrder without a cache = %v, want %v", got, want)
+	}
+}

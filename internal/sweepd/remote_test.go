@@ -52,8 +52,9 @@ func cluster(t *testing.T, n int, coordTraces *tracecache.Cache) (string, []*tra
 
 // TestRemoteEndToEnd is the service's acceptance shape at the sweepd level:
 // a 4-point / 2-key job over a real TCP coordinator and two workers returns
-// results byte-identical to the local path, with exactly 2 trace
-// generations across the cluster.
+// results byte-identical to the local path, with exactly 2 traces produced
+// across the cluster (the keys share a wrong-path family, so a worker that
+// holds both groups derives one of them).
 func TestRemoteEndToEnd(t *testing.T) {
 	addr, caches := cluster(t, 2, nil)
 	job := testJob(t)
@@ -78,12 +79,13 @@ func TestRemoteEndToEnd(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("remote results differ structurally from local results")
 	}
-	var gens uint64
+	var gens, derivs uint64
 	for _, c := range caches {
 		gens += c.Stats().Generations
+		derivs += c.Stats().Derivations
 	}
-	if gens != 2 {
-		t.Fatalf("cluster performed %d trace generations for 2 distinct keys, want exactly 2", gens)
+	if gens+derivs != 2 || gens < 1 {
+		t.Fatalf("cluster performed %d trace generations and %d derivations for 2 distinct keys, want 2 traces with at least 1 generation", gens, derivs)
 	}
 }
 

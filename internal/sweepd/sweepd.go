@@ -282,9 +282,18 @@ func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointRes
 	ckpts := NewCheckpointStore(budget)
 
 	// Each group is either in the queue or held by exactly one worker, so
-	// capacity len(groups) makes every requeue send non-blocking.
+	// capacity len(groups) makes every requeue send non-blocking. Groups
+	// are queued family-first (tracecache.DispatchOrder): every family's
+	// longest wrong-path group goes out before its shorter siblings, so a
+	// worker cache that meets both derives the short traces rather than
+	// generating them.
 	queue := make(chan *groupState, len(groups))
-	for _, g := range groups {
+	keys := make([]tracecache.Key, len(groups))
+	for i, g := range groups {
+		keys[i] = g.Key
+	}
+	for _, i := range tracecache.DispatchOrder(keys) {
+		g := groups[i]
 		queue <- &groupState{g: g, done: make(map[int]bool, len(g.Indices))}
 	}
 

@@ -11,8 +11,11 @@ import "repro/internal/obs"
 // cmd/doclint calls it on a throwaway pair to learn the inventory.
 func RegisterMetrics(reg *obs.Registry, c *Cache) {
 	reg.CounterFunc("tracecache_generations_total",
-		"Traces generated (cache misses that did the work).",
+		"Traces generated (cache misses that ran the functional simulator).",
 		func() float64 { return float64(c.gens.Load()) })
+	reg.CounterFunc("tracecache_derivations_total",
+		"Traces derived from a longer wrong-path variant (cache misses that did not).",
+		func() float64 { return float64(c.derivs.Load()) })
 	reg.CounterFunc("tracecache_hits_total",
 		"Trace requests served from memory.",
 		func() float64 { return float64(c.hits.Load()) })

@@ -19,6 +19,14 @@
 // concurrent requests for the same key block on the first generator rather
 // than duplicating work.
 //
+// Keys that differ only in the wrong-path block length form a family (see
+// familyOf). A miss whose family already holds, or is generating, a longer
+// variant derives its trace from that donor by truncating every tagged run
+// instead of running the functional simulator again; DispatchOrder is the
+// scheduling order that lets sweeps over reorder-buffer or fetch-queue depth
+// profit from it, and PrefetchFamilies starts each family's longest trace
+// before concurrent consumers ask for the shorter ones.
+//
 // Memory is bounded by an optional resident-byte budget. Over budget, the
 // least-recently-used entries are evicted; with a spill directory
 // configured they are first written to disk in the delta-compressed
@@ -164,7 +172,8 @@ const DefaultMaxInstructions = uint64(4_000_000)
 
 // Stats is a point-in-time snapshot of cache activity.
 type Stats struct {
-	Generations uint64 // traces generated (cache misses that did the work)
+	Generations uint64 // traces generated (cache misses that ran the functional simulator)
+	Derivations uint64 // traces derived from a longer family member (cache misses that did not)
 	Hits        uint64 // requests served from memory
 	Seeds       uint64 // entries installed from shipped containers (Seed)
 	SpillWrites uint64 // entries written to the spill directory
@@ -185,10 +194,12 @@ type Cache struct {
 
 	mu       sync.Mutex
 	entries  map[Key]*entry
-	lru      *list.List // resident entries, front = most recently used
+	families map[Key][]*entry // familyOf key -> that family's entries
+	lru      *list.List       // resident entries, front = most recently used
 	resident int64
 
 	gens        atomic.Uint64
+	derivs      atomic.Uint64
 	hits        atomic.Uint64
 	seeds       atomic.Uint64
 	spillWrites atomic.Uint64
@@ -233,6 +244,7 @@ func New(cfg Config) *Cache {
 		maxBytes: cfg.MaxResidentBytes,
 		maxInstr: cfg.MaxInstructions,
 		entries:  map[Key]*entry{},
+		families: map[Key][]*entry{},
 		lru:      list.New(),
 	}
 }
@@ -270,6 +282,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Unlock()
 	return Stats{
 		Generations: c.gens.Load(),
+		Derivations: c.derivs.Load(),
 		Hits:        c.hits.Load(),
 		Seeds:       c.seeds.Load(),
 		SpillWrites: c.spillWrites.Load(),
@@ -289,6 +302,10 @@ var ErrUncacheable = errors.New("tracecache: trace not cacheable (unbounded or o
 // generates while the rest wait. If the generating caller's context is
 // cancelled mid-generation the entry is discarded and a surviving waiter
 // takes over, so one caller's cancellation never poisons the key.
+//
+// A miss whose family holds a longer wrong-path variant — resident, or
+// still being produced — waits for that donor and derives the trace from it
+// instead of generating (Stats.Derivations counts these); see fill.
 func (c *Cache) Get(ctx context.Context, p workload.Profile, tc funcsim.TraceConfig, limit uint64) (*Trace, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -306,8 +323,9 @@ func (c *Cache) Get(ctx context.Context, p workload.Profile, tc funcsim.TraceCon
 		if !ok {
 			e = &entry{key: k, done: make(chan struct{})}
 			c.entries[k] = e
+			donor := c.joinFamilyLocked(e)
 			c.mu.Unlock()
-			return c.generateInto(ctx, e)
+			return c.fill(ctx, e, donor)
 		}
 		c.mu.Unlock()
 
@@ -333,9 +351,7 @@ func (c *Cache) Get(ctx context.Context, p workload.Profile, tc funcsim.TraceCon
 		if e.spillPath == "" {
 			// Evicted without a spill (or the spill write failed): the slot
 			// is gone; loop and regenerate.
-			if c.entries[k] == e {
-				delete(c.entries, k)
-			}
+			c.dropLocked(e)
 			c.mu.Unlock()
 			continue
 		}
@@ -355,20 +371,169 @@ func (c *Cache) Get(ctx context.Context, p workload.Profile, tc funcsim.TraceCon
 	}
 }
 
-// generateInto runs the trace generator for e's key and publishes the
-// result. It is called without the cache mutex held.
-func (c *Cache) generateInto(ctx context.Context, e *entry) (*Trace, error) {
+// familyOf returns the family k belongs to, or false when it belongs to
+// none. A family is the set of keys that differ only in TC.WrongPathLen,
+// with PerfectBP off (a perfect predictor emits no wrong path at all).
+// Tracer.emitWrongPath has no side effects and the wrong-path length shapes
+// nothing else in generation, so the trace for length L is the trace for
+// any longer length of the family with every tagged run cut to its first L
+// records (see derive).
+func familyOf(k Key) (Key, bool) {
+	if k.TC.PerfectBP {
+		return Key{}, false
+	}
+	k.TC.WrongPathLen = 0
+	return k, true
+}
+
+// joinFamilyLocked registers a fresh entry with its family and returns the
+// donor it should derive from, or nil when it has to generate: the
+// shortest longer member already resident (the cheapest copy), else the
+// longest longer member still being produced. Callers hold c.mu.
+func (c *Cache) joinFamilyLocked(e *entry) *entry {
+	fk, ok := familyOf(e.key)
+	if !ok {
+		return nil
+	}
+	members := c.families[fk]
+	c.families[fk] = append(members, e)
+	wpl := e.key.TC.WrongPathLen
+	var resident, inflight *entry
+	for _, m := range members {
+		mwpl := m.key.TC.WrongPathLen
+		if mwpl <= wpl {
+			continue
+		}
+		select {
+		case <-m.done:
+			if m.err == nil && m.tr != nil && (resident == nil || mwpl < resident.key.TC.WrongPathLen) {
+				resident = m
+			}
+		default:
+			if inflight == nil || mwpl > inflight.key.TC.WrongPathLen {
+				inflight = m
+			}
+		}
+	}
+	if resident != nil {
+		return resident
+	}
+	return inflight
+}
+
+// dropLocked removes e from the cache's key and family indexes if it still
+// owns its key: a concurrent caller may already have replaced a broken slot
+// with a fresh entry, which must not be deleted. Callers hold c.mu.
+func (c *Cache) dropLocked(e *entry) {
+	if c.entries[e.key] != e {
+		return
+	}
+	delete(c.entries, e.key)
+	fk, ok := familyOf(e.key)
+	if !ok {
+		return
+	}
+	members := c.families[fk]
+	for i, m := range members {
+		if m == e {
+			members = append(members[:i:i], members[i+1:]...)
+			break
+		}
+	}
+	if len(members) == 0 {
+		delete(c.families, fk)
+	} else {
+		c.families[fk] = members
+	}
+}
+
+// fill produces e's trace and publishes it: derived from donor (a longer
+// member of e's family, waited for while honouring ctx) when there is one,
+// generated otherwise. A donor that failed, was cancelled or has left
+// memory (evicted, or spilled) by the time it is needed sends fill to
+// generation — the only second path. It is called without the cache mutex
+// held.
+func (c *Cache) fill(ctx context.Context, e, donor *entry) (*Trace, error) {
+	if donor != nil {
+		select {
+		case <-donor.done:
+		case <-ctx.Done():
+			c.mu.Lock()
+			c.failLocked(e, ctx.Err())
+			return nil, ctx.Err()
+		}
+		c.mu.Lock()
+		src := donor.tr
+		c.mu.Unlock()
+		if donor.err == nil && src != nil {
+			tr := derive(src, e.key)
+			c.mu.Lock()
+			c.publishLocked(e, tr)
+			c.derivs.Add(1)
+			return tr, nil
+		}
+	}
 	tr, err := generate(ctx, e.key)
 	c.mu.Lock()
 	if err != nil {
-		if c.entries[e.key] == e {
-			delete(c.entries, e.key)
-		}
-		c.mu.Unlock()
-		e.err = err
-		close(e.done)
+		c.failLocked(e, err)
 		return nil, err
 	}
+	c.publishLocked(e, tr)
+	c.gens.Add(1)
+	return tr, nil
+}
+
+// PrefetchFamilies starts producing, each on its own goroutine, the
+// longest key of every family that has more than one distinct key among
+// keys, unless the cache already holds or is producing it, and returns
+// once they are registered. A later Get for a shorter member then derives
+// from the prefetched trace whichever request reaches the cache first, so
+// concurrent consumers of one cache generate each family once. ctx stops
+// the productions; the returned function waits for them to end (a failure
+// reaches the key's waiters, who retry).
+func (c *Cache) PrefetchFamilies(ctx context.Context, keys []Key) (wait func()) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var wg sync.WaitGroup
+	heads, sizes := familyHeads(keys)
+	for i, h := range heads {
+		k := keys[h]
+		if sizes[i] < 2 || ctx.Err() != nil || !c.Cacheable(k.Limit) {
+			continue
+		}
+		c.mu.Lock()
+		if _, ok := c.entries[k]; ok {
+			c.mu.Unlock()
+			continue
+		}
+		e := &entry{key: k, done: make(chan struct{})}
+		c.entries[k] = e
+		donor := c.joinFamilyLocked(e)
+		c.mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = c.fill(ctx, e, donor)
+		}()
+	}
+	return wg.Wait
+}
+
+// failLocked discards e after a failed generation or derivation and wakes
+// its waiters, which retry under their own contexts. Callers hold c.mu;
+// it is released on return.
+func (c *Cache) failLocked(e *entry, err error) {
+	c.dropLocked(e)
+	c.mu.Unlock()
+	e.err = err
+	close(e.done)
+}
+
+// publishLocked makes tr e's resident trace and wakes e's waiters. Callers
+// hold c.mu; it is released on return.
+func (c *Cache) publishLocked(e *entry, tr *Trace) {
 	e.tr = tr
 	e.bytes = int64(len(tr.recs)) * recordBytes
 	e.startPC = tr.startPC
@@ -378,8 +543,91 @@ func (c *Cache) generateInto(ctx context.Context, e *entry) (*Trace, error) {
 	c.insertResidentLocked(e)
 	c.mu.Unlock()
 	close(e.done)
-	c.gens.Add(1)
-	return tr, nil
+}
+
+// derive builds the trace for k from a trace of a longer member of k's
+// family: a linear copy that keeps every correct-path record and the first
+// k.TC.WrongPathLen records of every tagged run. A tagged run always
+// follows the mispredicted branch that opened it, so runs never touch.
+func derive(donor *Trace, k Key) *Trace {
+	keep := k.TC.WrongPathLen
+	n, run := 0, 0
+	for i := range donor.recs {
+		if donor.recs[i].Tag {
+			if run++; run > keep {
+				continue
+			}
+		} else {
+			run = 0
+		}
+		n++
+	}
+	t := &Trace{key: k, startPC: donor.startPC, recs: make([]trace.Record, 0, n)}
+	run = 0
+	for _, r := range donor.recs {
+		if r.Tag {
+			if run++; run > keep {
+				continue
+			}
+			t.tagged++
+		} else {
+			run = 0
+		}
+		t.bits += uint64(r.BitLen())
+		t.recs = append(t.recs, r)
+	}
+	return t
+}
+
+// DispatchOrder returns the order in which a scheduler should start work on
+// keys (one per group or point; duplicates allowed) so that derivation can
+// replace generation: first the longest wrong-path key of every family, in
+// the order families are first seen, then every other index in input order.
+// A key outside any family counts as the longest of its own. Both local
+// schedulers — sweepd.Run's group queue and sweep.Runner's point feed —
+// use it.
+func DispatchOrder(keys []Key) []int {
+	heads, _ := familyHeads(keys)
+	order := append(make([]int, 0, len(keys)), heads...)
+	front := make(map[int]bool, len(heads))
+	for _, h := range heads {
+		front[h] = true
+	}
+	for i := range keys {
+		if !front[i] {
+			order = append(order, i)
+		}
+	}
+	return order
+}
+
+// familyHeads groups keys by family (a key outside any family forms its
+// own group) and returns, per group in first-seen order, the index of its
+// first longest key and its number of distinct keys.
+func familyHeads(keys []Key) (heads, sizes []int) {
+	group := make(map[Key]int, len(keys))
+	seen := make(map[Key]bool, len(keys))
+	for i, k := range keys {
+		fk, ok := familyOf(k)
+		if !ok {
+			fk = k
+		}
+		g, known := group[fk]
+		if !known {
+			g = len(heads)
+			group[fk] = g
+			heads = append(heads, i)
+			sizes = append(sizes, 0)
+		}
+		if !seen[k] {
+			seen[k] = true
+			sizes[g]++
+		}
+		if k.TC.WrongPathLen > keys[heads[g]].TC.WrongPathLen {
+			heads[g] = i
+		}
+	}
+	return heads, sizes
 }
 
 // generate materializes the full record stream for k, polling ctx every
@@ -551,6 +799,7 @@ func (c *Cache) Seed(k Key, r io.Reader) (*Trace, error) {
 	e.tagged = t.tagged
 	e.bits = t.bits
 	c.entries[k] = e
+	c.joinFamilyLocked(e) // a ready donor for shorter members of its family
 	c.insertResidentLocked(e)
 	c.mu.Unlock()
 	c.seeds.Add(1)
@@ -589,7 +838,7 @@ func (c *Cache) evictLocked(e *entry) {
 		// Spill failed (disk full, permissions): fall through to drop.
 	}
 	e.tr = nil
-	delete(c.entries, e.key)
+	c.dropLocked(e)
 }
 
 // spill writes e's records as a delta-compressed container under the spill
@@ -627,27 +876,20 @@ func (c *Cache) spill(e *entry) error {
 }
 
 // reloadLocked reads a spilled entry back into memory and re-accounts it as
-// resident. Callers hold c.mu. On failure the slot is dropped — but only if
-// e still owns it: a concurrent caller may already have replaced a broken
-// slot with a fresh generating entry, which must not be deleted.
+// resident. Callers hold c.mu. On failure the slot is dropped (see
+// dropLocked).
 func (c *Cache) reloadLocked(e *entry) (*Trace, error) {
-	owned := c.entries[e.key] == e
-	dropSlot := func() {
-		if owned {
-			delete(c.entries, e.key)
-		}
-	}
 	f, err := os.Open(e.spillPath)
 	if err != nil {
 		// The spill vanished under us; drop the slot so the next request
 		// regenerates instead of failing forever.
-		dropSlot()
+		c.dropLocked(e)
 		return nil, fmt.Errorf("tracecache: spilled trace lost: %w", err)
 	}
 	defer f.Close()
 	src, hdr, err := trace.Open(f)
 	if err != nil {
-		dropSlot()
+		c.dropLocked(e)
 		return nil, fmt.Errorf("tracecache: corrupt spill %s: %w", e.spillPath, err)
 	}
 	recs := make([]trace.Record, 0, e.records)
@@ -657,17 +899,17 @@ func (c *Cache) reloadLocked(e *entry) (*Trace, error) {
 			break
 		}
 		if err != nil {
-			dropSlot()
+			c.dropLocked(e)
 			return nil, fmt.Errorf("tracecache: corrupt spill %s: %w", e.spillPath, err)
 		}
 		recs = append(recs, r)
 	}
 	if uint64(len(recs)) != e.records {
-		dropSlot()
+		c.dropLocked(e)
 		return nil, fmt.Errorf("tracecache: spill %s holds %d records, want %d", e.spillPath, len(recs), e.records)
 	}
 	tr := &Trace{key: e.key, startPC: hdr.StartPC, recs: recs, tagged: e.tagged, bits: e.bits}
-	if owned {
+	if c.entries[e.key] == e {
 		// Only a slot that still owns its key re-enters the LRU/resident
 		// bookkeeping; a stale entry (replaced by a newer generation) just
 		// serves its reader and is left for the GC.

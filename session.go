@@ -570,7 +570,18 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 	// idling on a small group must not strand cores the big group could
 	// use; the modest goroutine oversubscription while several groups are
 	// in flight is cheaper than the stranding.
-	nw := len(job.Groups())
+	groups := job.Groups()
+	if s.traces != nil {
+		// Every worker shares the session's cache: start each wrong-path
+		// family's longest trace before any worker runs, so its shorter
+		// members derive from it whichever worker reaches the cache first.
+		keys := make([]tracecache.Key, len(groups))
+		for i, g := range groups {
+			keys[i] = g.Key
+		}
+		defer s.traces.PrefetchFamilies(ctx, keys)()
+	}
+	nw := len(groups)
 	if nw > maxProcs {
 		nw = maxProcs
 	}

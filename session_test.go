@@ -3,7 +3,9 @@ package resim_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	resim "repro"
+	"repro/internal/sweepd"
 )
 
 func TestSessionOptionComposition(t *testing.T) {
@@ -889,5 +892,84 @@ func TestDeprecatedWrappersShareProcessCache(t *testing.T) {
 	}
 	if got := resim.SharedTraceCache().Generations(); got != afterWrapper {
 		t.Errorf("session run after the wrapper added %d generations, want 0 (shared cache)", got-afterWrapper)
+	}
+}
+
+// TestSweepDerivationOrderIndependent: a fresh-cache sweep over a grid of
+// three wrong-path families (four reorder-buffer/fetch-queue variants of
+// the default predictor, plus two other predictors) generates each family
+// once and derives the other three traces, whatever order the points come
+// in, and every point's result is byte-identical, in wire encoding, to the
+// result over an independently generated trace.
+func TestSweepDerivationOrderIndependent(t *testing.T) {
+	const instrs = 20000
+	ctx := context.Background()
+	base := resim.DefaultConfig()
+	variant := func(name string, apply func(*resim.Config)) resim.SweepPoint {
+		cfg := base
+		apply(&cfg)
+		return resim.SweepPoint{Name: name, Config: cfg}
+	}
+	grid := []resim.SweepPoint{
+		variant("rb=32", func(c *resim.Config) { c.RBSize = 32 }),
+		variant("rb=64", func(c *resim.Config) { c.RBSize = 64 }),
+		variant("ifq=16", func(c *resim.Config) { c.IFQSize = 16 }),
+		variant("rb=32/ifq=8", func(c *resim.Config) { c.RBSize, c.IFQSize = 32, 8 }),
+		variant("pht=1024", func(c *resim.Config) { c.Predictor.PHTSize = 1024 }),
+		variant("btb=128", func(c *resim.Config) { c.Predictor.BTBEntries = 128 }),
+	}
+	wire := func(r resim.Result) string {
+		b, err := json.Marshal(sweepd.WireRunResultOf(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	// The reference streams every point's trace straight from the
+	// functional simulator: no cache, no derivation.
+	uncached, err := resim.New(resim.WithTraceCache(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := uncached.Sweep(ctx, "gzip", instrs, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, r := range ref {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+		want[r.Name] = wire(r.Res)
+	}
+
+	for seed := int64(1); seed <= 4; seed++ {
+		perm := rand.New(rand.NewSource(seed)).Perm(len(grid))
+		pts := make([]resim.SweepPoint, len(grid))
+		for i, j := range perm {
+			pts[i] = grid[j]
+		}
+		cache := resim.NewTraceCache(resim.TraceCacheConfig{})
+		ses, err := resim.New(resim.WithTraceCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ses.Sweep(ctx, "gzip", instrs, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, r.Name, r.Err)
+			}
+			if r.Name != pts[i].Name || wire(r.Res) != want[r.Name] {
+				t.Fatalf("seed %d, %s: result differs from the independently generated run", seed, pts[i].Name)
+			}
+		}
+		if st := cache.Stats(); st.Generations != 3 || st.Derivations != 3 {
+			t.Fatalf("seed %d (order %v): %d generations and %d derivations, want 3 and 3",
+				seed, perm, st.Generations, st.Derivations)
+		}
 	}
 }

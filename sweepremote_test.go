@@ -58,9 +58,10 @@ func acceptancePoints(base resim.Config) []resim.SweepPoint {
 
 // TestSweepRemoteMatchesSweep is the PR's acceptance criterion: a 4-point
 // sweep with 2 distinct trace keys served through SweepRemote against a
-// 2-worker loopback cluster performs exactly 2 trace generations total
-// (asserted via tracecache.Stats) and returns results byte-identical to
-// Session.Sweep on the same points.
+// 2-worker loopback cluster produces exactly 2 traces total (asserted via
+// tracecache.Stats: the keys share a wrong-path family, so a worker holding
+// both groups derives the shorter trace instead of generating it) and
+// returns results byte-identical to Session.Sweep on the same points.
 func TestSweepRemoteMatchesSweep(t *testing.T) {
 	const instrs = 8000
 	ctx := context.Background()
@@ -101,12 +102,13 @@ func TestSweepRemoteMatchesSweep(t *testing.T) {
 		t.Fatal("SweepRemote results differ structurally from Sweep results")
 	}
 
-	var gens uint64
+	var gens, derivs uint64
 	for _, c := range caches {
 		gens += c.Stats().Generations
+		derivs += c.Stats().Derivations
 	}
-	if gens != 2 {
-		t.Fatalf("cluster performed %d trace generations for 2 distinct trace keys, want exactly 2", gens)
+	if gens+derivs != 2 || gens < 1 {
+		t.Fatalf("cluster performed %d trace generations and %d derivations for 2 distinct trace keys, want 2 traces with at least 1 generation", gens, derivs)
 	}
 }
 
@@ -134,10 +136,12 @@ func TestWithCoordinatorRoutesSweep(t *testing.T) {
 			t.Fatalf("point %d: %v", i, r.Err)
 		}
 	}
-	// Proof the job really ran on the remote worker: its cache did the
-	// generations, two distinct keys' worth.
-	if gens := caches[0].Stats().Generations; gens != 2 {
-		t.Fatalf("remote worker performed %d generations, want 2", gens)
+	// Proof the job really ran on the remote worker: its cache produced
+	// two distinct keys' traces. They share a wrong-path family and the
+	// coordinator dispatches the longer first, so one is generated and the
+	// other derived from it.
+	if st := caches[0].Stats(); st.Generations != 1 || st.Derivations != 1 {
+		t.Fatalf("remote worker performed %d generations and %d derivations, want 1 and 1", st.Generations, st.Derivations)
 	}
 }
 

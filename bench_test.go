@@ -39,7 +39,7 @@ func BenchmarkTable1PerfectMemory(b *testing.B) {
 			var res resim.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = resim.SimulateWorkload(cfg, w.Name, benchInstrs)
+				res, err = simulate(cfg, w.Name, benchInstrs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -59,7 +59,7 @@ func BenchmarkTable1CacheConfig(b *testing.B) {
 			cfg := resim.FASTComparisonConfig()
 			for i := 0; i < b.N; i++ {
 				cfg = resim.FASTComparisonConfig() // fresh cache state per run
-				res, err = resim.SimulateWorkload(cfg, w.Name, benchInstrs)
+				res, err = simulate(cfg, w.Name, benchInstrs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,6 +68,16 @@ func BenchmarkTable1CacheConfig(b *testing.B) {
 			b.ReportMetric(res.DCache.MissRate(), "dl1_missrate")
 		})
 	}
+}
+
+// simulate runs the named workload under an already-composed
+// configuration through a fresh session.
+func simulate(cfg resim.Config, name string, limit uint64) (resim.Result, error) {
+	ses, err := resim.New(resim.WithConfig(cfg))
+	if err != nil {
+		return resim.Result{}, err
+	}
+	return ses.RunWorkload(context.Background(), name, limit)
 }
 
 func reportSim(b *testing.B, cfg resim.Config, res resim.Result) {
@@ -145,7 +155,7 @@ func BenchmarkTable3TraceThroughput(b *testing.B) {
 			b.ReportMetric(bpi, "bits_per_instr")
 			// Table 3 pairs bits/instr with the V4 throughput including
 			// wrong-path instructions; reuse the Table 1 IPC model.
-			res, err := resim.SimulateWorkload(resim.DefaultConfig(), w.Name, benchInstrs)
+			res, err := simulate(resim.DefaultConfig(), w.Name, benchInstrs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -206,11 +216,11 @@ func BenchmarkFigure4OptimizedPipeline(b *testing.B) {
 	impr := resim.DefaultConfig()
 	impr.Organization = resim.OrgImproved
 	opt := resim.DefaultConfig()
-	a, err := resim.SimulateWorkload(impr, "vpr", 20_000)
+	a, err := simulate(impr, "vpr", 20_000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := resim.SimulateWorkload(opt, "vpr", 20_000)
+	c, err := simulate(opt, "vpr", 20_000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -504,7 +514,11 @@ func BenchmarkExtensionMulticore(b *testing.B) {
 	var res resim.MulticoreResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = resim.SimulateMulticore(cfg, resim.MulticoreOptions{
+		var ses *resim.Session
+		if ses, err = resim.New(resim.WithConfig(cfg)); err != nil {
+			b.Fatal(err)
+		}
+		res, err = ses.Multicore(context.Background(), resim.MulticoreOptions{
 			Workloads: []string{"gzip", "bzip2"},
 			Limit:     20_000,
 		})
@@ -631,18 +645,27 @@ func BenchmarkSweepWarmCache(b *testing.B) {
 }
 
 // BenchmarkSweepRemoteLoopback measures the sharded sweep service end to
-// end over localhost TCP: a coordinator plus two workers (each with its own
-// warm trace cache) serving the standard 4-point sweep through
-// Session.SweepRemote. The delta against BenchmarkSweepWarmCache is the
-// full service overhead — framing, JSON, scheduling, result streaming.
-// Gated in CI against the committed BENCH_baseline.json entry.
+// end over localhost: a coordinator plus two TCP workers (each with its own
+// warm trace cache) behind the job platform's HTTP door, serving the
+// standard 4-point sweep through Session.SweepRemote. The delta against
+// BenchmarkSweepWarmCache is the full service overhead — HTTP submission,
+// scheduling, wire framing, JSON and the NDJSON result stream. Gated in CI
+// against the committed BENCH_baseline.json entry.
 func BenchmarkSweepRemoteLoopback(b *testing.B) {
 	coord := sweepd.NewCoordinator()
+	p, err := jobd.New(jobd.Options{Pool: coord})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	coord.OnWorkersChanged = p.Kick
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer coord.Close()
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
 	wctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	for i := 0; i < 2; i++ {
@@ -662,12 +685,12 @@ func BenchmarkSweepRemoteLoopback(b *testing.B) {
 	pts := benchSweepPoints()
 	// Warm the workers' caches outside the timed region, like the local
 	// warm-cache benchmark.
-	if _, err := ses.SweepRemote(context.Background(), addr, "gzip", benchInstrs, pts); err != nil {
+	if _, err := ses.SweepRemote(context.Background(), srv.URL, "gzip", benchInstrs, pts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ses.SweepRemote(context.Background(), addr, "gzip", benchInstrs, pts)
+		res, err := ses.SweepRemote(context.Background(), srv.URL, "gzip", benchInstrs, pts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,13 +1,14 @@
 // Distsweep demonstrates the sharded sweep service end to end inside one
-// process: it starts a coordinator and two workers on a real localhost TCP
-// listener (exactly what `resimd -role coordinator` / `-role worker` run as
-// separate processes), submits the specsweep-style parser design-space
-// sweep through Session.SweepRemote, and shows the service's two key
-// properties:
+// process: it starts a coordinator with two workers on a real localhost TCP
+// listener and the job platform's HTTP door in front of it (exactly what
+// `resimd -role coordinator -http` / `-role worker` run as separate
+// processes), submits the specsweep-style parser design-space sweep to the
+// HTTP URL through a session built WithCoordinator, and shows the
+// service's two key properties:
 //
-//   - results stream back in point order with coordinator-side progress
-//     (completed/total) forwarded to the session observer, and
-//   - points are sharded by trace key, so each worker host generates every
+//   - results stream back in point order with progress (completed/total)
+//     forwarded to the session observer, and
+//   - points are sharded by trace key, so each worker host produces every
 //     distinct trace exactly once no matter how many points replay it.
 package main
 
@@ -15,9 +16,12 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"net"
+	"net/http"
 	"time"
 
 	resim "repro"
+	"repro/internal/jobd"
 	"repro/internal/sweepd"
 	"repro/internal/tracecache"
 )
@@ -26,13 +30,29 @@ func main() {
 	const instrs = 50_000
 	ctx := context.Background()
 
-	// --- the cluster: one coordinator, two workers ------------------------
+	// --- the cluster: one coordinator, two workers, the HTTP door --------
+	// The coordinator's TCP port registers workers; the job platform
+	// schedules sweeps over them and takes submissions over HTTP.
 	coord := sweepd.NewCoordinator()
+	platform, err := jobd.New(jobd.Options{Pool: coord})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer platform.Close()
+	coord.OnWorkersChanged = platform.Kick
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer coord.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := &http.Server{Handler: platform.Handler()}
+	go srv.Serve(ln) //nolint:errcheck // ends at Close
+	defer srv.Close()
+	url := "http://" + ln.Addr().String()
 
 	// Each worker has its own trace cache — the stand-in for a remote
 	// host's memory. Real deployments run these as `resimd -role worker`.
@@ -51,13 +71,13 @@ func main() {
 	for coord.WorkerCount() < 2 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	fmt.Printf("cluster up: coordinator %s, %d workers\n\n", addr, coord.WorkerCount())
+	fmt.Printf("cluster up: coordinator %s, %d workers, job service %s\n\n", addr, coord.WorkerCount(), url)
 
 	// --- the sweep: RB sizes on parser, via the service -------------------
 	// WithCoordinator makes Sweep transparently remote; SweepRemote does the
-	// same for one call. The observer receives coordinator-side progress.
+	// same for one call. The observer sees each result as it streams back.
 	ses, err := resim.New(
-		resim.WithCoordinator(addr),
+		resim.WithCoordinator(url),
 		resim.WithOrganization(resim.OrgImproved),
 		resim.WithMemoryPorts(2, 1),
 		resim.WithObserver(resim.ObserverFunc(func(p resim.Progress) {
@@ -87,13 +107,15 @@ func main() {
 	// --- the sharding invariant ------------------------------------------
 	// Each RB size derives its own trace key (the wrong-path block length is
 	// RB+IFQ), so 4 points = 4 key-groups, split across 2 hosts; every host
-	// generated only its own groups' traces.
-	var gens uint64
+	// produced only its own groups' traces — generating its longest and
+	// deriving the shorter ones from it.
+	var traces uint64
 	for i, c := range caches {
 		st := c.Stats()
-		fmt.Printf("\nworker w%d: %d trace generations, %d cached replays", i+1, st.Generations, st.Hits)
-		gens += st.Generations
+		fmt.Printf("\nworker w%d: %d trace generations, %d derivations, %d cached replays",
+			i+1, st.Generations, st.Derivations, st.Hits)
+		traces += st.Generations + st.Derivations
 	}
-	fmt.Printf("\ntotal generations %d for %d distinct trace keys — one per key across the cluster\n",
-		gens, len(rbSizes))
+	fmt.Printf("\ntotal traces produced %d for %d distinct trace keys — one per key across the cluster\n",
+		traces, len(rbSizes))
 }

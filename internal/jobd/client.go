@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/sweep"
 	"repro/internal/sweepd"
 )
 
@@ -284,6 +285,90 @@ func (c *Client) Results(ctx context.Context, id string, fn func(*sweepd.WireRes
 		return "", err
 	}
 	return "", fmt.Errorf("jobd: result stream for %s ended without a terminal line", id)
+}
+
+// Collect follows the job's result stream to its end and returns the
+// results in point order, each rebuilt around its point's configuration in
+// job — the job as submitted, kept client-side, so a result compares
+// byte-for-byte with a local sweep's. emit, when non-nil, sees every newly
+// streamed result with the running received/total counts. A job that ends
+// in any state but done is an error.
+func (c *Client) Collect(ctx context.Context, id string, job *sweepd.Job, emit func(res sweepd.PointResult, done, total int)) ([]sweep.Result, error) {
+	results := make([]sweep.Result, len(job.Points))
+	got := make([]bool, len(job.Points))
+	received := 0
+	state, err := c.Results(ctx, id, func(wr *sweepd.WireResult) error {
+		if wr.Index < 0 || wr.Index >= len(results) {
+			return fmt.Errorf("jobd: job %s streamed result for unknown point %d", id, wr.Index)
+		}
+		if got[wr.Index] {
+			return nil
+		}
+		got[wr.Index] = true
+		received++
+		results[wr.Index] = resultOf(job, wr)
+		if emit != nil {
+			emit(sweepd.PointResult{Index: wr.Index, Result: results[wr.Index]}, received, len(results))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if state != StateDone {
+		return nil, fmt.Errorf("jobd: job %s ended %s", id, state)
+	}
+	if received != len(results) {
+		return nil, fmt.Errorf("jobd: job %s finished with %d of %d results", id, received, len(results))
+	}
+	return results, nil
+}
+
+// Sweep submits job, follows it to its end and returns the results in
+// point order: Submit then Collect, the blocking form Session.SweepRemote
+// uses. emit is as for Collect. job.OnTelemetry, when set, receives the
+// job's live snapshot stream (at the service's cadence, Core holding the
+// point index) fire-and-forget, and every snapshot is delivered before
+// Sweep returns. Cancelling ctx cancels the job service-side. The service
+// queues a job while it has no live worker, so bound ctx when the worker
+// fleet may be empty.
+func (c *Client) Sweep(ctx context.Context, job *sweepd.Job, emit func(res sweepd.PointResult, done, total int)) ([]sweep.Result, error) {
+	wj, err := sweepd.WireJobOf(job)
+	if err != nil {
+		return nil, err
+	}
+	st, err := c.Submit(ctx, SubmitRequest{Profile: &job.Profile,
+		Instructions: job.Instructions, Points: wj.Points})
+	if err != nil {
+		return nil, err
+	}
+	tctx, stopTelemetry := context.WithCancel(ctx)
+	defer stopTelemetry()
+	telemetryDone := make(chan struct{})
+	go func() {
+		defer close(telemetryDone)
+		if job.OnTelemetry == nil {
+			return
+		}
+		c.Telemetry(tctx, st.ID, func(s core.IntervalSnapshot) error { //nolint:errcheck // fire-and-forget, like in-process delivery
+			job.OnTelemetry(s.Core, s)
+			return nil
+		})
+	}()
+	res, err := c.Collect(ctx, st.ID, job, emit)
+	if err != nil {
+		stopTelemetry()
+	}
+	// On success the telemetry stream ends with the job's terminal line.
+	<-telemetryDone
+	if ctx.Err() != nil {
+		// The stream died with ctx; the job would otherwise run on.
+		cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+		defer cancel()
+		c.Cancel(cctx, st.ID) //nolint:errcheck // best effort: the caller already has its answer
+		return nil, ctx.Err()
+	}
+	return res, err
 }
 
 // Telemetry follows the job's NDJSON telemetry stream, calling fn per live

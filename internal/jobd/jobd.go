@@ -1,18 +1,20 @@
-// Package jobd is the multi-tenant sweep job platform: the control plane
-// that turns the sharded sweep service (internal/sweepd) into something that
-// can front sustained traffic from many users. Where a sweepd.Coordinator
-// runs exactly one job per client connection, a jobd.Platform accepts many
-// jobs from many tenants, persists every submission to a disk journal so a
-// restarted coordinator recovers queued *and* in-flight work, schedules all
-// admitted jobs' trace-key groups over one shared worker pool with strict
-// priorities and weighted per-tenant fairness, and enforces admission
-// control so a submission burst degrades to queueing or 429, never to
-// dropped or corrupted work.
+// Package jobd is the sweep job platform: the one scheduler behind every
+// sweep, local or remote. A Platform accepts many jobs from many tenants
+// over its HTTP front door, persists every submission to a disk journal so
+// a restarted coordinator recovers queued *and* in-flight work, schedules
+// all admitted jobs' trace-key groups over one shared worker pool with
+// strict priorities and weighted per-tenant fairness, and enforces
+// admission control so a submission burst degrades to queueing or 429,
+// never to dropped or corrupted work. Run is the in-memory door: it takes
+// a sweepd.Job as it is (no wire form, so custom cache models and pipe
+// tracers still work) and blocks for its results — Session.Sweep runs on
+// it over a per-call platform of loopback workers.
 //
-// Scheduling model: the unit of dispatch is the sweepd key-group. Every
-// admitted job is sharded into groups exactly as the one-job scheduler
-// shards them (content-addressed trace keys, so a group runs on one worker
-// and each distinct trace is generated once per host). A free worker slot
+// Scheduling model: the unit of dispatch is the sweepd key-group
+// (content-addressed trace keys, so a group runs on one worker and each
+// distinct trace is generated once per host). Within a job, groups
+// dispatch in tracecache.DispatchOrder, so every wrong-path family's
+// longest trace is produced before its shorter members. A free worker slot
 // receives the group chosen by, in order: highest job priority, then lowest
 // tenant virtual time (start-time weighted fair queuing — each dispatch
 // advances the owning tenant's clock by 1/weight, and a tenant returning
@@ -45,6 +47,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sweep"
 	"repro/internal/sweepd"
+	"repro/internal/tracecache"
 	"repro/internal/workload"
 )
 
@@ -298,10 +301,24 @@ type job struct {
 	priority  int
 	seq       uint64
 	submitted time.Time
-	wire      *sweepd.WireJob
 	sj        *sweepd.Job
-	groups    []*groupState
+	groups    []*groupState       // in tracecache.DispatchOrder
 	groupOf   map[int]*groupState // point index -> owning group
+	// jn is the journal the job persists to: nil without a journal and for
+	// in-memory jobs.
+	jn *journal
+
+	// local, non-nil only for in-memory jobs (Run), holds their results
+	// as the workers produced them. Such a job fails once no live worker
+	// remains rather than waiting for the pool to refill; failure is then
+	// the error Run returns. inflight counts the job's groups on a worker,
+	// so Run returns only after they drain. emit is Run's per-point
+	// callback, serialized by emitMu (see onResult).
+	local    []sweep.Result
+	failure  error
+	inflight int
+	emit     func(sweepd.PointResult, int, int)
+	emitMu   sync.Mutex
 
 	state          State
 	err            string
@@ -561,7 +578,6 @@ func (p *Platform) materialize(req SubmitRequest) (*sweepd.WireJob, *sweepd.Job,
 	if err != nil {
 		return nil, nil, err
 	}
-	sj.CheckpointBudget = p.opts.CheckpointBudget
 	// The platform, not the submission, owns the telemetry cadence: every
 	// admitted job streams at the same interval into its bounded ring.
 	sj.TelemetryEvery = p.telemetryEvery()
@@ -611,12 +627,12 @@ func (p *Platform) Submit(tenant string, req SubmitRequest) (JobStatus, error) {
 			Err: fmt.Errorf("%w (%d in flight, cap %d)", ErrTenantBusy, t.queued+t.running, cap), Seconds: secs}
 	}
 	p.seq++
-	j := p.newJobLocked(id, tenant, req.Priority, p.seq, time.Now(), wj, sj)
+	j := p.newJobLocked(id, tenant, req.Priority, p.seq, time.Now(), sj)
 	p.spanLocked(j, TraceSpan{Event: SpanSubmit, State: StateQueued, Point: -1,
 		Points: len(sj.Points),
 		Detail: fmt.Sprintf("%s n=%d groups=%d", sj.Profile.Name, sj.Instructions, len(j.groups))})
-	if p.jn != nil {
-		if err := p.jn.writeSpec(&specRecord{ID: id, Tenant: tenant, Priority: req.Priority,
+	if j.jn != nil {
+		if err := j.jn.writeSpec(&specRecord{ID: id, Tenant: tenant, Priority: req.Priority,
 			Seq: j.seq, Submitted: j.submitted, Job: wj}); err != nil {
 			// Not durable -> not admitted: the client retries rather than
 			// holding a job a restart would silently lose.
@@ -639,24 +655,32 @@ func (p *Platform) Submit(tenant string, req SubmitRequest) (JobStatus, error) {
 }
 
 // newJobLocked builds the in-memory job structure (not yet registered).
-func (p *Platform) newJobLocked(id, tenant string, priority int, seq uint64, submitted time.Time, wj *sweepd.WireJob, sj *sweepd.Job) *job {
+// Groups are kept family-first (tracecache.DispatchOrder), the order the
+// dispatcher walks them in.
+func (p *Platform) newJobLocked(id, tenant string, priority int, seq uint64, submitted time.Time, sj *sweepd.Job) *job {
 	jctx, jcancel := context.WithCancel(p.ctx)
 	j := &job{
 		id: id, tenant: tenant, priority: priority, seq: seq, submitted: submitted,
-		wire: wj, sj: sj,
-		state:   StateQueued,
-		results: make([]*sweepd.WireResult, len(sj.Points)),
-		ckpts:   sweepd.NewCheckpointStore(p.opts.CheckpointBudget),
-		ctx:     jctx, cancel: jcancel,
+		sj: sj, jn: p.jn,
+		state:    StateQueued,
+		results:  make([]*sweepd.WireResult, len(sj.Points)),
+		ckpts:    sweepd.NewCheckpointStore(p.opts.CheckpointBudget),
+		ctx:      jctx,
+		cancel:   jcancel,
 		done:     make(chan struct{}),
 		change:   make(chan struct{}),
 		groupOf:  make(map[int]*groupState, len(sj.Points)),
 		ckptSeen: make(map[int]bool),
 	}
-	for _, g := range sj.Groups() {
-		gs := &groupState{g: g, done: make(map[int]bool, len(g.Indices))}
+	groups := sj.Groups()
+	keys := make([]tracecache.Key, len(groups))
+	for i, g := range groups {
+		keys[i] = g.Key
+	}
+	for _, i := range tracecache.DispatchOrder(keys) {
+		gs := &groupState{g: groups[i], done: make(map[int]bool, len(groups[i].Indices))}
 		j.groups = append(j.groups, gs)
-		for _, idx := range g.Indices {
+		for _, idx := range gs.g.Indices {
 			j.groupOf[idx] = gs
 		}
 	}
@@ -668,10 +692,12 @@ func (p *Platform) registerLocked(j *job) {
 	p.order = append(p.order, j)
 }
 
+// queueDepthLocked counts the queued service jobs MaxQueue bounds;
+// in-memory jobs (Run) bypass admission, so they do not use it up.
 func (p *Platform) queueDepthLocked() int {
 	n := 0
 	for _, j := range p.order {
-		if j.state == StateQueued {
+		if j.state == StateQueued && j.local == nil {
 			n++
 		}
 	}
@@ -730,6 +756,94 @@ func (p *Platform) Cancel(tenant, id string) (JobStatus, error) {
 	p.mu.Unlock()
 	p.Kick()
 	return st, nil
+}
+
+// Run schedules an in-memory job on the platform and blocks until it
+// finishes, returning its results in point order. The job is taken as it
+// is: it has no wire form, so points with custom cache models or pipe
+// tracers run on in-process workers, and it is never journaled. It joins
+// fair share as the internal tenant "" and bypasses admission control
+// (nor does it count toward MaxQueue). emit, when non-nil, is called once
+// per completed point — serialized, in completion order, on the
+// delivering worker's goroutine, without the platform lock — with the
+// running completed/total counts. When no live worker remains the run
+// fails with the last worker's error; cancelling ctx aborts the job's
+// groups and returns ctx.Err() once they have drained.
+func (p *Platform) Run(ctx context.Context, sj *sweepd.Job, emit func(res sweepd.PointResult, done, total int)) ([]sweep.Result, error) {
+	if len(sj.Points) == 0 {
+		return nil, errors.New("jobd: no design points")
+	}
+	if len(p.opts.Pool.Workers()) == 0 {
+		return nil, errors.New("jobd: no workers")
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	id, err := newJobID()
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, ErrClosed
+	}
+	p.seq++
+	j := p.newJobLocked(id, "", 0, p.seq, time.Now(), sj)
+	j.jn = nil
+	j.local = make([]sweep.Result, len(sj.Points))
+	if emit != nil {
+		j.emit = func(pr sweepd.PointResult, done, total int) {
+			if ctx.Err() == nil {
+				emit(pr, done, total)
+			}
+		}
+	}
+	p.registerLocked(j)
+	p.tenantLocked("").queued++
+	p.mu.Unlock()
+	p.Kick()
+	defer p.forget(j)
+	stop := context.AfterFunc(ctx, func() { p.Cancel("", id) }) //nolint:errcheck
+	defer stop()
+
+	for {
+		p.mu.Lock()
+		state, failure, drained, change := j.state, j.failure, j.inflight == 0, j.change
+		p.mu.Unlock()
+		if !state.Terminal() || !drained {
+			select {
+			case <-change:
+			case <-p.ctx.Done():
+				return nil, ErrClosed
+			}
+			continue
+		}
+		switch {
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
+		case state == StateDone:
+			return j.local, nil
+		case state == StateFailed:
+			return nil, failure
+		default:
+			return nil, fmt.Errorf("jobd: job %s", state)
+		}
+	}
+}
+
+// forget drops a finished in-memory job from the registry, so a long-lived
+// platform does not accumulate Run history.
+func (p *Platform) forget(j *job) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.jobs, j.id)
+	for i, o := range p.order {
+		if o == j {
+			p.order = append(p.order[:i], p.order[i+1:]...)
+			break
+		}
+	}
 }
 
 func (p *Platform) statusLocked(j *job, points bool) JobStatus {
@@ -868,11 +982,11 @@ func (p *Platform) finalizeLocked(j *job, to State, errStr string) {
 		Points: j.completed, Detail: errStr})
 	p.metrics.JobDuration.With(j.tenant).Observe(time.Since(j.submitted).Seconds())
 	p.broadcastLocked(j)
-	if p.jn != nil {
-		if err := p.jn.appendLine(j.id, resultLine{Terminal: to, Err: errStr}); err != nil {
+	if j.jn != nil {
+		if err := j.jn.appendLine(j.id, resultLine{Terminal: to, Err: errStr}); err != nil {
 			p.logf(sweepd.KV("jobd.journal_error", "job", j.id, "op", "terminal", "err", err))
 		}
-		p.jn.clearCheckpoints(j.id)
+		j.jn.clearCheckpoints(j.id)
 	}
 	p.logf(sweepd.KV("jobd.job_finished", "job", j.id, "tenant", j.tenant,
 		"state", to, "completed", j.completed, "total", len(j.sj.Points), "err", errStr))
@@ -902,6 +1016,9 @@ func (p *Platform) dispatch() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.refreshWorkersLocked()
+	if p.liveWorkersLocked() == 0 {
+		p.failLocalLocked()
+	}
 	for {
 		w, ws := p.pickWorkerLocked()
 		if w == nil {
@@ -937,6 +1054,33 @@ func (p *Platform) refreshWorkersLocked() {
 				ws.dead = true
 			}
 		}
+	}
+}
+
+func (p *Platform) liveWorkersLocked() int {
+	n := 0
+	for _, ws := range p.workers {
+		if !ws.dead {
+			n++
+		}
+	}
+	return n
+}
+
+// failLocalLocked fails every unfinished in-memory job: with no live
+// worker left, nothing could ever run their remaining groups. Service
+// jobs keep waiting for the pool to refill.
+func (p *Platform) failLocalLocked() {
+	for _, j := range p.order {
+		if j.local == nil || j.state.Terminal() {
+			continue
+		}
+		if j.failure != nil {
+			j.failure = fmt.Errorf("jobd: worker failed with no live workers left to requeue on: %w", j.failure)
+		} else {
+			j.failure = errors.New("jobd: no live workers")
+		}
+		p.finalizeLocked(j, StateFailed, j.failure.Error())
 	}
 }
 
@@ -1003,6 +1147,7 @@ func betterCandidate(a *job, ta *tenantState, b *job, tb *tenantState) bool {
 func (p *Platform) startGroupLocked(j *job, gs *groupState, w sweepd.Worker, ws *workerState) {
 	gs.assigned = true
 	ws.busy++
+	j.inflight++
 	t := p.tenantLocked(j.tenant)
 	if j.state == StateQueued {
 		j.state = StateRunning
@@ -1085,14 +1230,29 @@ func workerLabel(w sweepd.Worker) string {
 // result was lost in flight) drop — engines are deterministic, first write
 // wins. worker attributes the result's origin in the job's trace.
 func (p *Platform) onResult(j *job, gs *groupState, worker string, pr sweepd.PointResult) {
+	// emitMu, taken before the platform lock, keeps an in-memory job's emit
+	// calls serialized and in completion order without holding p.mu across
+	// them. Calling emit here, on the goroutine that delivered the result,
+	// spares it a wait for a CPU the job's own engines keep busy.
+	j.emitMu.Lock()
+	defer j.emitMu.Unlock()
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	done, ok := p.recordLocked(j, gs, worker, pr)
+	p.mu.Unlock()
+	if ok && j.emit != nil {
+		j.emit(pr, done, len(j.results))
+	}
+}
+
+// recordLocked does onResult's bookkeeping and reports whether the result
+// was new, with the job's completed count after it.
+func (p *Platform) recordLocked(j *job, gs *groupState, worker string, pr sweepd.PointResult) (int, bool) {
 	idx := pr.Index
 	if j.state.Terminal() || j.ctx.Err() != nil {
-		return
+		return 0, false
 	}
 	if idx < 0 || idx >= len(j.results) || j.results[idx] != nil || gs.done[idx] {
-		return
+		return 0, false
 	}
 	gs.done[idx] = true
 	if !j.firstResult {
@@ -1113,16 +1273,20 @@ func (p *Platform) onResult(j *job, gs *groupState, worker string, pr sweepd.Poi
 	j.completed++
 	j.ckpts.Drop(idx)
 	p.spanLocked(j, TraceSpan{Event: SpanPointDone, Point: idx, Worker: worker, Detail: wr.Err})
-	if p.jn != nil {
-		if err := p.jn.appendLine(j.id, resultLine{Result: wr}); err != nil {
+	if j.local != nil {
+		j.local[idx] = pr.Result
+	}
+	if j.jn != nil {
+		if err := j.jn.appendLine(j.id, resultLine{Result: wr}); err != nil {
 			// A result that failed to journal is still served from memory;
 			// after a crash the point reruns — deterministic, so recovery
 			// degrades to recomputation, never to a wrong or missing result.
 			p.logf(sweepd.KV("jobd.journal_error", "job", j.id, "op", "result", "point", idx, "err", err))
 		}
-		p.jn.dropCheckpoint(j.id, idx)
+		j.jn.dropCheckpoint(j.id, idx)
 	}
 	p.broadcastLocked(j)
+	return j.completed, true
 }
 
 // onCheckpoint retains a shipped checkpoint in the job's budgeted store and
@@ -1144,8 +1308,8 @@ func (p *Platform) onCheckpoint(j *job, index int, data []byte) {
 			Detail: fmt.Sprintf("%d bytes", len(data))})
 	}
 	p.mu.Unlock()
-	if p.jn != nil {
-		if err := p.jn.saveCheckpoint(j.id, index, data); err != nil {
+	if j.jn != nil {
+		if err := j.jn.saveCheckpoint(j.id, index, data); err != nil {
 			p.logf(sweepd.KV("jobd.journal_error", "job", j.id, "op", "checkpoint", "point", index, "err", err))
 		}
 	}
@@ -1159,18 +1323,20 @@ func (p *Platform) groupDone(j *job, gs *groupState, w sweepd.Worker, err error)
 		ws.busy--
 	}
 	gs.assigned = false
+	j.inflight--
 	ctxErr := j.ctx.Err()
 	complete := len(gs.done) == len(gs.g.Indices)
 	if err == nil && !complete && ctxErr == nil {
-		// Same contract as the one-job scheduler: a worker either finishes
-		// its group or reports failure; silently returning early is death,
-		// so a buggy worker cannot requeue-loop forever.
+		// A worker either finishes its group or reports failure; silently
+		// returning early is death, so a buggy worker cannot requeue-loop
+		// forever.
 		err = errors.New("jobd: worker returned without completing its group")
 	}
 	if err != nil && ctxErr == nil {
 		if ws := p.workers[w]; ws != nil {
 			ws.dead = true
 		}
+		j.failure = err
 		if !complete {
 			p.requeues++
 			p.spanLocked(j, TraceSpan{Event: SpanRequeue, Point: -1,
@@ -1184,6 +1350,7 @@ func (p *Platform) groupDone(j *job, gs *groupState, w sweepd.Worker, err error)
 	if !j.state.Terminal() && j.completed == len(j.sj.Points) {
 		p.finalizeLocked(j, StateDone, "")
 	}
+	p.broadcastLocked(j)
 	p.mu.Unlock()
 	p.Kick()
 }
@@ -1213,10 +1380,9 @@ func (p *Platform) recover() error {
 			p.logf(sweepd.KV("jobd.recover_failed", "job", rec.spec.ID, "err", err))
 			continue
 		}
-		sj.CheckpointBudget = p.opts.CheckpointBudget
 		sj.TelemetryEvery = p.telemetryEvery()
 		j := p.newJobLocked(rec.spec.ID, rec.spec.Tenant, rec.spec.Priority,
-			rec.spec.Seq, rec.spec.Submitted, rec.spec.Job, sj)
+			rec.spec.Seq, rec.spec.Submitted, sj)
 		for _, wr := range rec.results {
 			if wr.Index < 0 || wr.Index >= len(j.results) || j.results[wr.Index] != nil {
 				continue
@@ -1271,12 +1437,20 @@ func sweepResultsOf(j *sweepd.Job, wrs []*sweepd.WireResult) ([]sweep.Result, er
 		if wr == nil {
 			return nil, fmt.Errorf("jobd: point %d has no result", i)
 		}
-		out[i] = sweep.Result{Point: j.Points[i]}
-		if wr.Err != "" {
-			out[i].Err = errors.New(wr.Err)
-		} else if wr.Res != nil {
-			out[i].Res = wr.Res.Result(j.Points[i].Config)
-		}
+		out[i] = resultOf(j, wr)
 	}
 	return out, nil
+}
+
+// resultOf rebuilds one streamed result around its point's configuration
+// in j, the submitted job.
+func resultOf(j *sweepd.Job, wr *sweepd.WireResult) sweep.Result {
+	pt := j.Points[wr.Index]
+	res := sweep.Result{Point: pt}
+	if wr.Err != "" {
+		res.Err = errors.New(wr.Err)
+	} else if wr.Res != nil {
+		res.Res = wr.Res.Result(pt.Config)
+	}
+	return res
 }

@@ -280,6 +280,31 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestRunJobsBypassQueueBound: in-memory jobs (Run) bypass admission, so a
+// queued one must not use up MaxQueue for service submissions.
+func TestRunJobsBypassQueueBound(t *testing.T) {
+	w := newFakeWorker()
+	p, err := New(Options{Pool: StaticPool{w}, MaxQueue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for range 2 { // the first holds the only slot, the second queues
+		go p.Run(context.Background(), &sweepd.Job{Profile: mustProfile(t, "gzip"), Instructions: 1000, //nolint:errcheck // ends with p.Close
+			Points: []sweep.Point{{Name: "L/pt", Config: core.DefaultConfig()}}}, nil)
+	}
+	nextRun(t, w)
+	for deadline := time.Now().Add(5 * time.Second); p.Snapshot().QueueDepth != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second in-memory job never queued")
+		}
+	}
+	if _, err := p.Submit("alice", SubmitRequest{Workload: "gzip", Instructions: 1000,
+		Points: wirePoints(t, "A1", []int{8}, []int{4})}); err != nil {
+		t.Fatalf("service submit with only an in-memory job queued: %v", err)
+	}
+}
+
 // TestWorkerDeathRequeues: a worker dying mid-group marks it dead, requeues
 // the unfinished remainder on a survivor, and the job still completes.
 func TestWorkerDeathRequeues(t *testing.T) {

@@ -38,15 +38,25 @@ func (p *Platform) telemetryEvery() uint64 {
 // point index, appends the snapshot to the job's ring (evicting the oldest
 // when full) and wakes stream waiters. Snapshots for points that already
 // have a result are duplicates from a requeued group rerunning finished
-// work and drop here, exactly like duplicate results.
+// work and drop here, exactly like duplicate results. In-memory jobs have
+// no ring: their snapshots go to the job's own OnTelemetry hook, called
+// outside the lock so the scheduler never blocks on a consumer.
 func (p *Platform) onTelemetry(j *job, index int, snap core.IntervalSnapshot) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if j.state.Terminal() || j.ctx.Err() != nil ||
 		index < 0 || index >= len(j.results) || j.results[index] != nil {
+		p.mu.Unlock()
 		return
 	}
 	snap.Core = index
+	if j.local != nil {
+		p.mu.Unlock()
+		if fn := j.sj.OnTelemetry; fn != nil {
+			fn(index, snap)
+		}
+		return
+	}
+	defer p.mu.Unlock()
 	j.telRing = append(j.telRing, snap)
 	j.telSeq++
 	if over := len(j.telRing) - p.opts.TelemetryRing; over > 0 {

@@ -2,8 +2,10 @@ package sweepd_test
 
 // The sweepd half of the chaos suite (docs/ROBUSTNESS.md): every schedule
 // arms a deterministic, seeded fault against the wire layer of one
-// "victim" worker in a two-worker cluster, runs the standard test job,
-// and asserts the results are byte-identical to a fault-free local run.
+// "victim" worker in a two-worker cluster, runs the standard test job
+// through the job platform's HTTP door (and, in the mixed schedule, its
+// in-memory door too), and asserts the results are byte-identical to a
+// fault-free local run.
 // The injected faults are the real failure modes of a distributed sweep —
 // a worker process hanging mid-group (TCP up, nothing flowing), a worker
 // dying inside a frame write (torn frame on the coordinator's reader),
@@ -23,6 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/jobd"
 	"repro/internal/sweep"
 	"repro/internal/sweepd"
 	"repro/internal/workload"
@@ -77,11 +80,8 @@ func TestChaosWireFaults(t *testing.T) {
 			coord := sweepd.NewCoordinator()
 			coord.HeartbeatInterval = chaosPing
 			coord.HeartbeatTimeout = chaosDead
-			addr, err := coord.Start("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { coord.Close() })
+			d := serveDoor(t, coord, jobd.Options{})
+			addr := d.addr
 
 			wctx, stop := context.WithCancel(context.Background())
 			t.Cleanup(stop)
@@ -96,7 +96,7 @@ func TestChaosWireFaults(t *testing.T) {
 			// schedule having already fired.
 			waitChaosVictim(t, coord, inj, sc.rule.Site)
 
-			got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+			got, err := sweepHTTP(context.Background(), d.cli, job, nil)
 			if err != nil {
 				t.Fatalf("job did not survive the fault schedule: %v", err)
 			}
@@ -107,6 +107,70 @@ func TestChaosWireFaults(t *testing.T) {
 			// The fault must actually have fired for the run to prove
 			// anything. An ordinal the job's own frames didn't reach is
 			// reached by the victim's heartbeats within a few intervals.
+			fireBy := time.Now().Add(5 * time.Second)
+			for inj.Fired(sc.rule.Site) == 0 {
+				if time.Now().After(fireBy) {
+					t.Fatalf("schedule never fired at %s: the run proved nothing", sc.rule.Site)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestChaosMixedDoors: one platform over one TCP worker pool serves an
+// in-memory job (the door Session.Sweep uses) and an HTTP job at once
+// while the victim worker is killed mid-frame or hangs. Both doors'
+// results must be byte-identical to the fault-free reference.
+func TestChaosMixedDoors(t *testing.T) {
+	schedules := []struct {
+		name string
+		rule faults.Rule
+	}{
+		{"worker_kill_mid_frame/seed3", chaosRule(3, sweepd.FaultWorkerSend, faults.Fail, sweepd.ErrKillMidFrame)},
+		{"worker_hang_mid_group/seed1", chaosRule(1, sweepd.FaultWorkerSend, faults.Hang, nil)},
+	}
+	want := mustJSON(t, reference(t, testJob(t)))
+	for _, sc := range schedules {
+		t.Run(sc.name, func(t *testing.T) {
+			inj := faults.NewInjector(sc.rule)
+			t.Cleanup(inj.Close)
+
+			coord := sweepd.NewCoordinator()
+			coord.HeartbeatInterval = chaosPing
+			coord.HeartbeatTimeout = chaosDead
+			d := serveDoor(t, coord, jobd.Options{})
+			wctx, stop := context.WithCancel(context.Background())
+			t.Cleanup(stop)
+			go sweepd.Work(wctx, d.addr, sweepd.WorkerOptions{Name: "survivor"}) //nolint:errcheck
+			waitWorkers(t, coord, 1)
+			go sweepd.Work(wctx, d.addr, sweepd.WorkerOptions{ //nolint:errcheck
+				Name: "victim", Faults: inj,
+			})
+			waitChaosVictim(t, coord, inj, sc.rule.Site)
+
+			var wg sync.WaitGroup
+			var local, remote []sweep.Result
+			var localErr, remoteErr error
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				local, localErr = d.p.Run(context.Background(), testJob(t), nil)
+			}()
+			go func() {
+				defer wg.Done()
+				remote, remoteErr = sweepHTTP(context.Background(), d.cli, testJob(t), nil)
+			}()
+			wg.Wait()
+			if localErr != nil || remoteErr != nil {
+				t.Fatalf("jobs did not survive the fault schedule: in-memory %v, HTTP %v", localErr, remoteErr)
+			}
+			if got := mustJSON(t, local); got != want {
+				t.Fatalf("in-memory results under faults are not byte-identical to the reference\ngot:  %.300s\nwant: %.300s", got, want)
+			}
+			if got := mustJSON(t, remote); got != want {
+				t.Fatalf("HTTP results under faults are not byte-identical to the reference\ngot:  %.300s\nwant: %.300s", got, want)
+			}
 			fireBy := time.Now().Add(5 * time.Second)
 			for inj.Fired(sc.rule.Site) == 0 {
 				if time.Now().After(fireBy) {
@@ -149,11 +213,8 @@ func TestChaosHungWorkerResumesFromCheckpoint(t *testing.T) {
 			logMu.Unlock()
 		}
 	}
-	addr, err := coord.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close() })
+	d := serveDoor(t, coord, jobd.Options{})
+	addr := d.addr
 
 	wctx, stop := context.WithCancel(context.Background())
 	t.Cleanup(stop)
@@ -196,7 +257,7 @@ func TestChaosHungWorkerResumesFromCheckpoint(t *testing.T) {
 	}
 	job := &sweepd.Job{Profile: p, Instructions: 600_000, Points: pts}
 	want := mustJSON(t, reference(t, job))
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepHTTP(context.Background(), d.cli, job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,14 @@ import (
 	"repro/internal/tracecache"
 )
 
-// Coordinator is the sweep service's control plane: it accepts worker
-// registrations and client job submissions on one listener, shards each
-// job's points into trace-key groups, assigns every group to a single
-// worker (shipping the group's trace from its own cache when it already
-// holds the container), streams per-point results back to the client as
-// they finish, and requeues a dead worker's unfinished groups on the
-// survivors.
+// Coordinator is the sweep service's worker fabric: it accepts worker
+// registrations on its listener — the TCP port serves workers only; sweeps
+// arrive through the job platform's HTTP door (internal/jobd) — and
+// exposes the registered workers as a pool. Each proxy ships one key-group
+// assignment to its worker (with the group's trace from the coordinator's
+// cache when it already holds the container), streams per-point results
+// and checkpoints back, and fails its pending groups when the worker dies
+// so the platform requeues them on a survivor.
 type Coordinator struct {
 	// Traces, when non-nil, is the coordinator's trace cache: groups whose
 	// trace it already holds (resident or spilled — e.g. warmed by local
@@ -33,10 +34,6 @@ type Coordinator struct {
 	Traces *tracecache.Cache
 	// Logf, when non-nil, receives service log lines.
 	Logf func(format string, args ...any)
-	// CheckpointBudget caps the resume-checkpoint bytes the scheduler
-	// retains per job (see Job.CheckpointBudget): 0 applies
-	// DefaultCheckpointBudget, negative disables the cap.
-	CheckpointBudget int64
 	// OnWorkersChanged, when non-nil, is called (without the coordinator
 	// lock held) after a worker registers or disconnects — the dispatch
 	// hook the job platform (internal/jobd) uses to re-schedule queued
@@ -181,9 +178,9 @@ func (c *Coordinator) Serve(ln net.Listener) error {
 }
 
 // Close stops the listener, tears down every connection and waits for the
-// accept loop and every per-connection goroutine (including client
-// cancellation watchers) to drain — after Close returns, the coordinator
-// holds no open connections and has leaked no goroutines.
+// accept loop and every per-connection goroutine to drain — after Close
+// returns, the coordinator holds no open connections and has leaked no
+// goroutines.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	c.closed = true
@@ -226,7 +223,8 @@ func (c *Coordinator) hsTimeout() time.Duration {
 	return c.HandshakeTimeout
 }
 
-// handleConn performs the hello handshake and dispatches on the peer role.
+// handleConn performs the hello handshake, refusing any peer that is not a
+// worker, and serves the worker.
 func (c *Coordinator) handleConn(conn net.Conn) {
 	w := newWire(conn)
 	w.clock = c.Clock
@@ -239,7 +237,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		Role:       roleCoordinator,
 		PingMillis: c.hbInterval().Milliseconds(),
 		DeadMillis: c.hbTimeout().Milliseconds(),
-	}, roleWorker, roleClient)
+	}, roleWorker)
 	if err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			c.Metrics.handshakeTimeout()
@@ -257,12 +255,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		defer close(stop)
 		go w.heartbeat(iv, stop)
 	}
-	switch hello.Role {
-	case roleWorker:
-		c.serveWorker(w, hello.Name)
-	case roleClient:
-		c.serveClient(w)
-	}
+	c.serveWorker(w, hello.Name)
 }
 
 // serveWorker registers the connection as a worker and pumps its messages
@@ -318,82 +311,6 @@ func (c *Coordinator) Workers() []Worker {
 		ws = append(ws, rw)
 	}
 	return ws
-}
-
-// serveClient receives one job, runs it over the registered workers and
-// streams results until done. The job is aborted if the client disconnects;
-// the cancellation watcher is drained before returning so a coordinator
-// Close never leaves watcher goroutines behind.
-func (c *Coordinator) serveClient(w *wire) {
-	m, err := w.recv()
-	if err != nil {
-		return
-	}
-	if m.Type != msgJob || m.Job == nil {
-		w.send(&Message{Type: msgDone, Done: &Done{Err: fmt.Sprintf("expected job, got %q", m.Type)}}) //nolint:errcheck
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	watcherDone := make(chan struct{})
-	defer func() {
-		// Unblock the watcher's pending recv and wait for it: teardown is
-		// deterministic, not left to whenever the conn-close defer in Serve
-		// happens to run after this handler already returned.
-		w.conn.Close()
-		<-watcherDone
-	}()
-	go func() {
-		defer close(watcherDone)
-		// The only traffic a client sends after the job is a disconnect;
-		// use the read side as the cancellation signal.
-		for {
-			if _, err := w.recv(); err != nil {
-				cancel()
-				return
-			}
-		}
-	}()
-
-	fail := func(err error) {
-		w.send(&Message{Type: msgDone, Done: &Done{Err: errString(err)}}) //nolint:errcheck
-	}
-	job, err := JobFromWire(m.Job)
-	if err != nil {
-		fail(err)
-		return
-	}
-	job.CheckpointBudget = c.CheckpointBudget
-	if job.TelemetryEvery > 0 {
-		// Relay live snapshots to the client on the same framed connection
-		// the results ride; wire.send serializes concurrent writers. Call is
-		// meaningless client-side and stays zero.
-		job.OnTelemetry = func(index int, snap core.IntervalSnapshot) {
-			w.send(&Message{Type: msgTelemetry, Telemetry: &TelemetryShip{ //nolint:errcheck
-				Index: index, Snap: snap,
-			}})
-		}
-	}
-	workers := c.Workers()
-	if len(workers) == 0 {
-		fail(errors.New("sweepd: no workers registered"))
-		return
-	}
-	c.logf("%s", KV("sweepd.job_start", "points", len(job.Points), "workers", len(workers),
-		"workload", job.Profile.Name, "instructions", job.Instructions))
-	emit := func(pr PointResult, done, total int) {
-		wr := &WireResult{Index: pr.Index, Name: pr.Result.Name, Done: done, Total: total}
-		if pr.Result.Err != nil {
-			wr.Err = pr.Result.Err.Error()
-		} else {
-			wr.Res = WireRunResultOf(pr.Result.Res)
-		}
-		if err := w.send(&Message{Type: msgResult, Result: wr}); err != nil {
-			cancel() // client gone; stop burning worker time
-		}
-	}
-	_, err = Run(ctx, job, workers, emit)
-	fail(err) // err == nil sends the clean Done
 }
 
 // groupCall is one in-flight assignment on a remote worker.

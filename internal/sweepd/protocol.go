@@ -37,10 +37,9 @@ import (
 // Version 2 added checkpoint shipping: assignments carry prior per-point
 // checkpoints to resume from, and workers stream msgCheckpoint messages so
 // a requeued group resumes on a survivor instead of restarting at cycle 0.
-// Version 3 added live telemetry streaming: jobs and assignments carry a
+// Version 3 added live telemetry streaming: assignments carry a
 // TelemetryEvery cadence, and workers stream msgTelemetry messages — one
-// core.IntervalSnapshot window delta per in-flight point per boundary —
-// which the coordinator forwards to the submitting client.
+// core.IntervalSnapshot window delta per in-flight point per boundary.
 // Version 4 added liveness: both ends of every connection stream msgPing
 // heartbeat frames and arm read/write deadlines, so a hung peer — TCP
 // established, nothing flowing — is detected within the heartbeat timeout
@@ -69,24 +68,22 @@ const (
 // while still rejecting a corrupt length prefix immediately.
 const maxMessageBytes = 1 << 30
 
-// Roles sent in the hello handshake.
+// Roles sent in the hello handshake. The coordinator's port serves
+// workers only: sweeps are submitted through the job platform's HTTP door.
 const (
 	roleWorker      = "worker"
-	roleClient      = "client"
 	roleCoordinator = "coordinator"
 )
 
 // Message types.
 const (
 	msgHello      = "hello"      // both directions, first message on a connection
-	msgJob        = "job"        // client -> coordinator: submit a sweep
 	msgAssign     = "assign"     // coordinator -> worker: run one key-group
 	msgCancel     = "cancel"     // coordinator -> worker: abort one assignment
-	msgResult     = "result"     // worker -> coordinator -> client: one point done
+	msgResult     = "result"     // worker -> coordinator: one point done
 	msgCheckpoint = "checkpoint" // worker -> coordinator: one point's latest engine state
-	msgTelemetry  = "telemetry"  // worker -> coordinator -> client: one point's interval snapshot
+	msgTelemetry  = "telemetry"  // worker -> coordinator: one point's interval snapshot
 	msgGroupEnd   = "group_end"  // worker -> coordinator: assignment finished
-	msgDone       = "done"       // coordinator -> client: job finished
 	msgPing       = "ping"       // both directions: liveness heartbeat, no payload
 )
 
@@ -117,14 +114,12 @@ var ErrKillMidFrame = errors.New("sweepd: injected mid-frame kill")
 type Message struct {
 	Type       string          `json:"type"`
 	Hello      *Hello          `json:"hello,omitempty"`
-	Job        *WireJob        `json:"job,omitempty"`
 	Assign     *Assignment     `json:"assign,omitempty"`
 	Cancel     *Cancel         `json:"cancel,omitempty"`
 	Result     *WireResult     `json:"result,omitempty"`
 	Checkpoint *CheckpointShip `json:"checkpoint,omitempty"`
 	Telemetry  *TelemetryShip  `json:"telemetry,omitempty"`
 	GroupEnd   *GroupEnd       `json:"group_end,omitempty"`
-	Done       *Done           `json:"done,omitempty"`
 }
 
 // Hello opens every connection.
@@ -133,8 +128,8 @@ type Hello struct {
 	Role  string `json:"role"`
 	Name  string `json:"name,omitempty"`
 	// PingMillis and DeadMillis, set in the coordinator's hello, advertise
-	// the fabric's heartbeat cadence and silence tolerance. Workers and
-	// clients without explicit overrides adopt them, so one coordinator
+	// the fabric's heartbeat cadence and silence tolerance. Workers
+	// without explicit overrides adopt them, so one coordinator
 	// setting tunes the whole cluster's liveness — and a peer never pings
 	// slower than the coordinator's patience.
 	PingMillis int64 `json:"ping_ms,omitempty"`
@@ -162,7 +157,7 @@ func SpecOf(cfg core.Config) (ConfigSpec, error) {
 		return ConfigSpec{}, fmt.Errorf("sweepd: a CheckpointSink cannot cross the network; clear it or sweep locally (workers checkpoint on their own cadence)")
 	}
 	if cfg.TelemetrySink != nil {
-		return ConfigSpec{}, fmt.Errorf("sweepd: a TelemetrySink cannot cross the network; clear it or sweep locally (remote telemetry streams via the job's TelemetryEvery instead)")
+		return ConfigSpec{}, fmt.Errorf("sweepd: a TelemetrySink cannot cross the network; clear it or sweep locally (remote jobs stream telemetry at the job service's cadence instead)")
 	}
 	f := configfile.FromConfig(cfg)
 	if cfg.ICache != nil && f.ICache == nil {
@@ -198,24 +193,20 @@ type WirePoint struct {
 	Config ConfigSpec `json:"config"`
 }
 
-// WireJob is a client's sweep submission.
+// WireJob is a sweep submission in wire form — what the job platform
+// journals.
 type WireJob struct {
 	Profile      workload.Profile `json:"profile"`
 	Instructions uint64           `json:"instructions"`
 	Points       []WirePoint      `json:"points"`
-	// TelemetryEvery, when non-zero, asks workers to stream per-interval
-	// engine telemetry for every in-flight point at this cycle cadence
-	// (msgTelemetry messages, forwarded to the client).
-	TelemetryEvery uint64 `json:"telemetry_every,omitempty"`
 }
 
 // WireJobOf converts an in-process job for submission, validating every
-// point is expressible on the wire. The job platform (internal/jobd) and
-// the TCP client share this as the canonical job serialization.
+// point is expressible on the wire — the canonical job serialization the
+// HTTP clients submit.
 func WireJobOf(job *Job) (*WireJob, error) {
 	wj := &WireJob{Profile: job.Profile, Instructions: job.Instructions,
-		TelemetryEvery: job.TelemetryEvery,
-		Points:         make([]WirePoint, len(job.Points))}
+		Points: make([]WirePoint, len(job.Points))}
 	for i, pt := range job.Points {
 		spec, err := SpecOf(pt.Config)
 		if err != nil {
@@ -231,8 +222,7 @@ func WireJobOf(job *Job) (*WireJob, error) {
 // must equal its position.
 func JobFromWire(wj *WireJob) (*Job, error) {
 	job := &Job{Profile: wj.Profile, Instructions: wj.Instructions,
-		TelemetryEvery: wj.TelemetryEvery,
-		Points:         make([]sweep.Point, len(wj.Points))}
+		Points: make([]sweep.Point, len(wj.Points))}
 	for i, wp := range wj.Points {
 		if wp.Index != i {
 			return nil, fmt.Errorf("sweepd: point %d arrived with index %d", i, wp.Index)
@@ -283,10 +273,9 @@ type CheckpointShip struct {
 	Data  []byte `json:"data"`
 }
 
-// TelemetryShip streams one point's per-interval telemetry snapshot.
-// Worker -> coordinator it carries Call and the group-relative point is
-// already remapped: Index (and Snap.Core) are the job-wide point index.
-// Coordinator -> client the Call is cleared. Pipe-trace tails never cross
+// TelemetryShip streams one point's per-interval telemetry snapshot from a
+// worker. The group-relative point is already remapped: Index (and
+// Snap.Core) are the job-wide point index. Pipe-trace tails never cross
 // the wire (they are a local-sink feature).
 type TelemetryShip struct {
 	Call  uint64                `json:"call,omitempty"`
@@ -319,18 +308,14 @@ func (w *WireRunResult) Result(cfg core.Config) core.Result {
 		Config: cfg}
 }
 
-// WireResult reports one completed point. Worker -> coordinator it carries
-// Call; coordinator -> client it instead carries the job-wide progress
-// counters Done/Total (the coordinator-side progress the client forwards to
-// its session observer).
+// WireResult reports one completed point: worker -> coordinator it
+// carries Call; the job platform journals and streams it without.
 type WireResult struct {
 	Call  uint64         `json:"call,omitempty"`
 	Index int            `json:"index"`
 	Name  string         `json:"name,omitempty"`
 	Err   string         `json:"err,omitempty"`
 	Res   *WireRunResult `json:"res,omitempty"`
-	Done  int            `json:"done,omitempty"`
-	Total int            `json:"total,omitempty"`
 }
 
 // GroupEnd closes one assignment. A non-empty Err means the worker could
@@ -339,11 +324,6 @@ type WireResult struct {
 type GroupEnd struct {
 	Call uint64 `json:"call"`
 	Err  string `json:"err,omitempty"`
-}
-
-// Done closes a client job.
-type Done struct {
-	Err string `json:"err,omitempty"`
 }
 
 // wire frames messages over one connection: a 4-byte big-endian length

@@ -2,9 +2,13 @@ package sweepd_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,54 +17,96 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/jobd"
 	"repro/internal/sweep"
 	"repro/internal/sweepd"
 	"repro/internal/tracecache"
 	"repro/internal/workload"
 )
 
-// cluster spins up a coordinator and n workers on a real localhost TCP
-// listener, returning the address and the per-worker caches.
-func cluster(t *testing.T, n int, coordTraces *tracecache.Cache) (string, []*tracecache.Cache) {
+// door is the job service as cmd/resimd assembles it: a coordinator whose
+// TCP port registers workers, and a job platform scheduling over them
+// behind its HTTP door.
+type door struct {
+	coord *sweepd.Coordinator
+	p     *jobd.Platform
+	cli   *jobd.Client
+	addr  string // the coordinator's TCP address, for workers
+}
+
+// serveDoor starts coord (configured, not yet serving) and a platform
+// built from opts over it, and serves the platform's HTTP door on a
+// localhost test server.
+func serveDoor(t *testing.T, coord *sweepd.Coordinator, opts jobd.Options) *door {
 	t.Helper()
-	coord := sweepd.NewCoordinator()
-	coord.Traces = coordTraces
+	opts.Pool = coord
+	p, err := jobd.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.OnWorkersChanged = p.Kick
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { coord.Close() })
+	srv := httptest.NewServer(p.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		p.Close()
+		coord.Close()
+	})
+	return &door{coord: coord, p: p, cli: &jobd.Client{Server: srv.URL}, addr: addr}
+}
+
+// cluster spins up a job service and n workers on real localhost TCP,
+// returning the service and the per-worker caches.
+func cluster(t *testing.T, n int, coordTraces *tracecache.Cache) (*door, []*tracecache.Cache) {
+	t.Helper()
+	coord := sweepd.NewCoordinator()
+	coord.Traces = coordTraces
+	d := serveDoor(t, coord, jobd.Options{})
+	return d, d.workers(t, n)
+}
+
+// workers registers n TCP workers, each with its own trace cache (standing
+// in for distinct hosts), and returns the caches.
+func (d *door) workers(t *testing.T, n int) []*tracecache.Cache {
+	t.Helper()
 	wctx, stop := context.WithCancel(context.Background())
 	t.Cleanup(stop)
 	caches := make([]*tracecache.Cache, n)
 	for i := range caches {
 		caches[i] = tracecache.New(tracecache.Config{})
-		go sweepd.Work(wctx, addr, sweepd.WorkerOptions{ //nolint:errcheck
+		go sweepd.Work(wctx, d.addr, sweepd.WorkerOptions{ //nolint:errcheck
 			Name:   "w" + itoa(i+1),
 			Traces: caches[i],
 		})
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for coord.WorkerCount() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d workers registered", coord.WorkerCount(), n)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return addr, caches
+	waitWorkers(t, d.coord, n)
+	return caches
+}
+
+// sweepHTTP runs job through the HTTP door (jobd.Client.Sweep, what
+// Session.SweepRemote calls). A service job whose workers are all gone
+// waits in the queue for new ones, so the wait is bounded: a test whose
+// cluster died fails instead of hanging.
+func sweepHTTP(ctx context.Context, cli *jobd.Client, job *sweepd.Job, emit func(sweepd.PointResult, int, int)) ([]sweep.Result, error) {
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+	defer cancel()
+	return cli.Sweep(ctx, job, emit)
 }
 
 // TestRemoteEndToEnd is the service's acceptance shape at the sweepd level:
-// a 4-point / 2-key job over a real TCP coordinator and two workers returns
-// results byte-identical to the local path, with exactly 2 traces produced
-// across the cluster (the keys share a wrong-path family, so a worker that
-// holds both groups derives one of them).
+// a 4-point / 2-key job through the HTTP door over a real TCP coordinator
+// and two workers returns results byte-identical to the local path, with
+// exactly 2 traces produced across the cluster (the keys share a wrong-path
+// family, so a worker that holds both groups derives one of them).
 func TestRemoteEndToEnd(t *testing.T) {
-	addr, caches := cluster(t, 2, nil)
+	d, caches := cluster(t, 2, nil)
 	job := testJob(t)
 	want := reference(t, job)
 
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepHTTP(context.Background(), d.cli, job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,22 +135,21 @@ func TestRemoteEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRemoteProgressForwarded: the client observer receives one callback
-// per completed point with the coordinator-side Done/Total counters and
-// exactly one Final.
+// TestRemoteProgressForwarded: the client sees one callback per streamed
+// point with running done/total counters and exactly one final one.
 func TestRemoteProgressForwarded(t *testing.T) {
-	addr, _ := cluster(t, 2, nil)
+	d, _ := cluster(t, 2, nil)
 	job := testJob(t)
 	type ev struct{ done, total int }
 	ch := make(chan ev, len(job.Points))
 	finals := 0
-	obs := core.ObserverFunc(func(p core.Progress) {
-		ch <- ev{p.Done, p.Total}
-		if p.Final {
+	emit := func(_ sweepd.PointResult, done, total int) {
+		ch <- ev{done, total}
+		if done == total {
 			finals++
 		}
-	})
-	if _, err := sweepd.RunRemote(context.Background(), addr, job, obs); err != nil {
+	}
+	if _, err := sweepHTTP(context.Background(), d.cli, job, emit); err != nil {
 		t.Fatal(err)
 	}
 	close(ch)
@@ -137,11 +182,11 @@ func TestRemoteTraceShipping(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr, caches := cluster(t, 1, warm)
+	d, caches := cluster(t, 1, warm)
 	job := &sweepd.Job{Profile: p, Instructions: testInstrs, Points: []sweep.Point{
 		{Name: "a", Config: cfg}, {Name: "b", Config: cfg},
 	}}
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepHTTP(context.Background(), d.cli, job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,28 +200,105 @@ func TestRemoteTraceShipping(t *testing.T) {
 	}
 }
 
-// TestRemoteNoWorkers: submitting to a workerless coordinator fails
-// cleanly instead of queueing forever.
+// TestRemoteNoWorkers: a job submitted while no worker is registered
+// queues at the door instead of failing, and completes correctly once a
+// worker registers.
 func TestRemoteNoWorkers(t *testing.T) {
-	coord := sweepd.NewCoordinator()
-	addr, err := coord.Start("127.0.0.1:0")
+	d := serveDoor(t, sweepd.NewCoordinator(), jobd.Options{})
+	job := testJob(t)
+	want := reference(t, job)
+	wj, err := sweepd.WireJobOf(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	_, err = sweepd.RunRemote(context.Background(), addr, testJob(t), nil)
-	if err == nil || !strings.Contains(err.Error(), "no workers") {
-		t.Fatalf("err = %v, want a no-workers failure", err)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	st, err := d.cli.Submit(ctx, jobd.SubmitRequest{Profile: &job.Profile,
+		Instructions: job.Instructions, Points: wj.Points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != jobd.StateQueued {
+		t.Fatalf("job state = %s with no workers, want queued", st.State)
+	}
+	wctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	go sweepd.Work(wctx, d.addr, sweepd.WorkerOptions{Name: "late"}) //nolint:errcheck
+	got, err := d.cli.Collect(ctx, st.ID, job, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("results from a late-registered worker differ from the reference")
+	}
+}
+
+// TestCoordinatorRefusesClientRole: the coordinator's TCP port serves
+// workers only. A peer whose hello claims the client role is refused at
+// the handshake and its connection closed; it never joins the pool.
+func TestCoordinatorRefusesClientRole(t *testing.T) {
+	refused := make(chan string, 1)
+	coord := sweepd.NewCoordinator()
+	coord.Logf = func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "sweepd.handshake_failed") {
+			refused <- line
+		}
+	}
+	d := serveDoor(t, coord, jobd.Options{})
+	conn, err := net.Dial("tcp", d.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+
+	// The coordinator speaks first; answer its hello with the client role
+	// at the same protocol version, framed as the wire frames it: a 4-byte
+	// big-endian length, then the JSON envelope.
+	var prefix [4]byte
+	if _, err := io.ReadFull(conn, prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, binary.BigEndian.Uint32(prefix[:]))
+	if _, err := io.ReadFull(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+	var theirs sweepd.Message
+	if err := json.Unmarshal(payload, &theirs); err != nil || theirs.Hello == nil {
+		t.Fatalf("coordinator's first frame is not a hello: %s (%v)", payload, err)
+	}
+	ours, err := json.Marshal(sweepd.Message{Type: "hello",
+		Hello: &sweepd.Hello{Proto: theirs.Hello.Proto, Role: "client"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(prefix[:], uint32(len(ours)))
+	if _, err := conn.Write(append(prefix[:], ours...)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("read after a client hello = %d bytes, %v; want the coordinator to close the connection", n, err)
+	}
+	select {
+	case line := <-refused:
+		if !strings.Contains(line, `unexpected peer role \"client\"`) {
+			t.Errorf("refusal log = %q, want it to name the client role", line)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator never logged the refused handshake")
+	}
+	if n := coord.WorkerCount(); n != 0 {
+		t.Fatalf("coordinator registered %d workers from a client hello", n)
 	}
 }
 
 // TestRemoteRejectsUnserializablePoints: custom cache models cannot cross
-// the network; the client fails fast before dialing (the address here is
+// the network; the client fails fast before submitting (the server here is
 // unreachable on purpose).
 func TestRemoteRejectsUnserializablePoints(t *testing.T) {
 	job := testJob(t)
 	job.Points[1].Config.DCache = customModel{}
-	_, err := sweepd.RunRemote(context.Background(), "127.0.0.1:1", job, nil)
+	_, err := sweepHTTP(context.Background(), &jobd.Client{Server: "http://127.0.0.1:1"}, job, nil)
 	if err == nil || !strings.Contains(err.Error(), "not serializable") {
 		t.Fatalf("err = %v, want a serialization failure naming the point", err)
 	}
@@ -191,10 +313,10 @@ func (customModel) Access(uint32, bool) (bool, int) { return true, 1 }
 func (customModel) Stats() cache.Stats              { return cache.Stats{} }
 func (customModel) Reset()                          {}
 
-// TestRemoteCancellation: cancelling the client context aborts the job and
-// returns promptly.
+// TestRemoteCancellation: cancelling the client context returns promptly
+// and cancels the job service-side.
 func TestRemoteCancellation(t *testing.T) {
-	addr, _ := cluster(t, 2, nil)
+	d, _ := cluster(t, 2, nil)
 	p, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +338,7 @@ func TestRemoteCancellation(t *testing.T) {
 	done := make(chan struct{})
 	var runErr error
 	go func() {
-		_, runErr = sweepd.RunRemote(ctx, addr, job, nil)
+		_, runErr = sweepHTTP(ctx, d.cli, job, nil)
 		close(done)
 	}()
 	select {
@@ -227,6 +349,13 @@ func TestRemoteCancellation(t *testing.T) {
 	if !errors.Is(runErr, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", runErr)
 	}
+	jobs, err := d.cli.List(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || jobs[0].State != jobd.StateCanceled {
+		t.Fatalf("jobs after client cancellation = %+v, want one canceled job", jobs)
+	}
 }
 
 // TestRemoteWorkerDeathMidJobRequeues kills one worker's process context
@@ -234,11 +363,8 @@ func TestRemoteCancellation(t *testing.T) {
 // completes with full, correct results.
 func TestRemoteWorkerDeathMidJobRequeues(t *testing.T) {
 	coord := sweepd.NewCoordinator()
-	addr, err := coord.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	d := serveDoor(t, coord, jobd.Options{})
+	addr := d.addr
 
 	// Survivor worker.
 	sctx, stopSurvivor := context.WithCancel(context.Background())
@@ -260,17 +386,11 @@ func TestRemoteWorkerDeathMidJobRequeues(t *testing.T) {
 		killVictim()
 	}()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for coord.WorkerCount() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers did not register")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitWorkers(t, coord, 2)
 
 	job := testJob(t)
 	want := reference(t, job)
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepHTTP(context.Background(), d.cli, job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +419,8 @@ func TestRemoteWorkerDeathResumesFromCheckpoint(t *testing.T) {
 			ckptOnce.Do(func() { close(ckptSeen) })
 		}
 	}
-	addr, err := coord.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	d := serveDoor(t, coord, jobd.Options{})
+	addr := d.addr
 
 	// Survivor: ordinary worker that records its own resume log lines.
 	sctx, stopSurvivor := context.WithCancel(context.Background())
@@ -331,13 +448,7 @@ func TestRemoteWorkerDeathResumesFromCheckpoint(t *testing.T) {
 		killVictim()
 	}()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for coord.WorkerCount() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers did not register")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitWorkers(t, coord, 2)
 
 	// One group per worker, with a budget long enough that checkpoints ship
 	// well before either point completes — and, since the kill trigger is
@@ -356,7 +467,7 @@ func TestRemoteWorkerDeathResumesFromCheckpoint(t *testing.T) {
 	}
 	job := &sweepd.Job{Profile: p, Instructions: 600_000, Points: pts}
 	want := reference(t, job)
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepHTTP(context.Background(), d.cli, job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,20 +3,23 @@ package sweepd_test
 import (
 	"context"
 	"net"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/jobd"
 	"repro/internal/sweepd"
 )
 
 // TestCoordinatorCloseDrainsGoroutines: closing the coordinator while a
-// client job is mid-flight must deterministically cancel and drain every
-// goroutine the service spawned — accept loops, per-connection handlers,
-// client cancellation watchers, scheduler requeue machinery — and the
-// worker and client processes must unwind too. The assertion is a hard
+// client job is mid-flight, then the job platform behind the HTTP door,
+// must deterministically cancel and drain every goroutine the service
+// spawned — accept loops, per-connection handlers, heartbeats, scheduler
+// requeue machinery, result streams — and the worker and client processes
+// must unwind too. The assertion is a hard
 // goroutine count: everything the test started is gone afterwards, so a
 // leaked conn handler racing Close fails loudly here instead of
 // accumulating in a long-lived daemon.
@@ -29,19 +32,25 @@ func TestCoordinatorCloseDrainsGoroutines(t *testing.T) {
 	coord := sweepd.NewCoordinator()
 	coord.HandshakeTimeout = 150 * time.Millisecond
 	coord.Logf = func(format string, args ...any) {
-		if strings.Contains(format, "sweepd.job_start") ||
-			(len(args) > 0 && containsAny(args, "sweepd.job_start")) {
-			once.Do(func() { close(started) })
-		}
 		if strings.Contains(format, "sweepd.handshake_timeout") ||
 			(len(args) > 0 && containsAny(args, "sweepd.handshake_timeout")) {
 			hsOnce.Do(func() { close(hsTimedOut) })
 		}
 	}
+	p, err := jobd.New(jobd.Options{Pool: coord, Logf: func(format string, args ...any) {
+		if containsAny(args, "jobd.group_dispatched") {
+			once.Do(func() { close(started) })
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.OnWorkersChanged = p.Kick
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := httptest.NewServer(p.Handler())
 
 	// A peer that connects and never speaks: without the handshake
 	// deadline, its handler goroutine would sit in the hello read until
@@ -81,7 +90,7 @@ func TestCoordinatorCloseDrainsGoroutines(t *testing.T) {
 	job.Instructions = 500_000
 	clientErr := make(chan error, 1)
 	go func() {
-		_, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+		_, err := sweepHTTP(context.Background(), &jobd.Client{Server: srv.URL, HTTPClient: srv.Client()}, job, nil)
 		clientErr <- err
 	}()
 	select {
@@ -90,9 +99,13 @@ func TestCoordinatorCloseDrainsGoroutines(t *testing.T) {
 		t.Fatal("job never started")
 	}
 
-	// Race Close against the in-flight job: it must abort the job, not
-	// wedge behind it.
+	// Race Close against the in-flight job: it must abort the job's
+	// groups, not wedge behind them; closing the platform then ends the
+	// client's result stream.
 	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -101,8 +114,9 @@ func TestCoordinatorCloseDrainsGoroutines(t *testing.T) {
 			t.Fatal("client job reported success across a coordinator shutdown")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("client still blocked 10s after coordinator Close returned")
+		t.Fatal("client still blocked 10s after the service closed")
 	}
+	srv.Close()
 	stop()
 	workers.Wait()
 

@@ -13,11 +13,14 @@
 // shared trace cache; across groups the scheduler fans out over every live
 // worker and requeues a dead worker's unfinished points on a survivor.
 //
-// The same scheduler serves three surfaces: the in-process loopback mode
-// (LoopbackWorker — used by Session.Sweep and by tests), the network
-// coordinator (Coordinator + cmd/resimd), and the client (RunRemote behind
-// Session.SweepRemote). Local and remote sweeps therefore share one code
-// path for grouping, assignment, requeue and result ordering.
+// This package owns the job model (Job, Group), the Worker interface and
+// its two transports — the in-process LoopbackWorker and the coordinator's
+// proxies for TCP workers (Coordinator, Work, cmd/resimd) — plus the wire
+// protocol between them. Scheduling lives in internal/jobd: its Platform
+// dispatches every sweep's groups onto these workers, whether the sweep
+// came from Session.Sweep (in memory, over loopback workers) or through
+// the HTTP door (over the TCP workers registered with a Coordinator, whose
+// port serves workers only).
 package sweepd
 
 import (
@@ -41,23 +44,12 @@ type Job struct {
 	Instructions uint64
 	Points       []sweep.Point
 
-	// CheckpointBudget caps the total bytes of resume checkpoints the
-	// scheduler retains for this job (the latest checkpoint per unfinished
-	// point, across all groups). When a new shipment would exceed it, the
-	// least-recently-updated other points' checkpoints are dropped — those
-	// points simply restart from cycle 0 if their worker dies, so a long
-	// design-space job degrades resume granularity instead of growing
-	// without bound. 0 means DefaultCheckpointBudget; negative disables
-	// the cap. Scheduler policy, never serialized: the coordinator applies
-	// its own budget to jobs received over the wire.
-	CheckpointBudget int64 `json:"-"`
-
 	// TelemetryEvery, when non-zero, makes workers stream per-interval
 	// engine telemetry for every in-flight point: each engine emits a
 	// core.IntervalSnapshot window delta at every TelemetryEvery-cycle
 	// boundary, tagged with the job-wide point index (Snapshot.Core). The
-	// cadence crosses the wire with the job; the snapshots flow back
-	// through OnTelemetry.
+	// cadence crosses the wire in each group assignment; the snapshots flow
+	// back through OnTelemetry.
 	TelemetryEvery uint64
 	// OnTelemetry, when non-nil, receives every streamed snapshot. Delivery
 	// is fire-and-forget — a slow or failing consumer never blocks or
@@ -145,20 +137,11 @@ type Worker interface {
 	RunGroup(ctx context.Context, job *Job, gr GroupRun, emit func(PointResult)) error
 }
 
-// groupState tracks one group through assignment, partial completion and
-// requeue. A group is owned by at most one worker at a time (it is either
-// queued or held), so the done map and the job-wide checkpoint store are
-// the only shared state, guarded by the scheduler mutex.
-type groupState struct {
-	g    Group
-	done map[int]bool
-}
-
 // CheckpointStore retains the latest shipped resume checkpoint per
-// unfinished point of one job, under a total byte budget. The scheduler
-// keeps one per Run; the job platform (internal/jobd) keeps one per admitted
-// job, so the store carries its own mutex — concurrent jobs' stores are
-// fully isolated, each enforcing only its own budget.
+// unfinished point of one job, under a total byte budget. The job platform
+// (internal/jobd) keeps one per admitted job, so the store carries its own
+// mutex — concurrent jobs' stores are fully isolated, each enforcing only
+// its own budget.
 type CheckpointStore struct {
 	mu      sync.Mutex
 	budget  int64 // <= 0: unlimited
@@ -249,206 +232,6 @@ func (s *CheckpointStore) evictLocked(index int) {
 	}
 }
 
-// Run schedules the job's key-groups across workers and returns results in
-// point order regardless of shard or worker completion order. emit, when
-// non-nil, is called once per completed point (serialized) with the running
-// completed/total counts — the coordinator-side progress stream. On worker
-// failure the group's unfinished points are requeued on a live worker,
-// which resumes each point from the latest checkpoint the dead worker
-// shipped (engines are deterministic, so a resumed point's result is
-// bit-identical to a from-scratch run); when no live worker remains the job
-// fails. Cancelling the context aborts in-flight groups and returns
-// ctx.Err() once every worker has drained.
-func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointResult, done, total int)) ([]sweep.Result, error) {
-	if len(job.Points) == 0 {
-		return nil, fmt.Errorf("sweepd: no design points")
-	}
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("sweepd: no workers")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	groups := job.Groups()
-	total := len(job.Points)
-	results := make([]sweep.Result, total)
-	budget := job.CheckpointBudget
-	if budget == 0 {
-		budget = DefaultCheckpointBudget
-	}
-	ckpts := NewCheckpointStore(budget)
-
-	// Each group is either in the queue or held by exactly one worker, so
-	// capacity len(groups) makes every requeue send non-blocking. Groups
-	// are queued family-first (tracecache.DispatchOrder): every family's
-	// longest wrong-path group goes out before its shorter siblings, so a
-	// worker cache that meets both derives the short traces rather than
-	// generating them.
-	queue := make(chan *groupState, len(groups))
-	keys := make([]tracecache.Key, len(groups))
-	for i, g := range groups {
-		keys[i] = g.Key
-	}
-	for _, i := range tracecache.DispatchOrder(keys) {
-		g := groups[i]
-		queue <- &groupState{g: g, done: make(map[int]bool, len(g.Indices))}
-	}
-
-	var (
-		mu        sync.Mutex
-		completed int
-		open      = len(groups) // groups not yet fully completed
-		live      = len(workers)
-		failErr   error
-	)
-	// finishGroupLocked marks gs fully done; the last group closes the queue
-	// so idle workers drain. Callers hold mu.
-	closeOnce := sync.Once{}
-	finishGroupLocked := func() {
-		open--
-		if open == 0 {
-			closeOnce.Do(func() { close(queue) })
-		}
-	}
-
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w Worker) {
-			defer wg.Done()
-			for {
-				var gs *groupState
-				var ok bool
-				select {
-				case <-runCtx.Done():
-					return
-				case gs, ok = <-queue:
-					if !ok {
-						return
-					}
-				}
-				mu.Lock()
-				gr := GroupRun{
-					Indices:     gs.remainingLocked(),
-					Checkpoints: make(map[int][]byte),
-					OnCheckpoint: func(index int, data []byte) {
-						mu.Lock()
-						defer mu.Unlock()
-						if index < 0 || index >= total || gs.done[index] || len(data) == 0 {
-							return
-						}
-						// Workers checkpoint each point monotonically, and a
-						// requeued owner resumes from the stored cycle, so the
-						// latest shipment is always the furthest along. The
-						// store caps total retained bytes job-wide, evicting
-						// other points' resume state first.
-						ckpts.Put(index, data)
-					},
-				}
-				if job.OnTelemetry != nil && job.TelemetryEvery > 0 {
-					gr.OnTelemetry = func(index int, snap core.IntervalSnapshot) {
-						mu.Lock()
-						stale := index < 0 || index >= total || gs.done[index]
-						mu.Unlock()
-						if stale {
-							return
-						}
-						// Forward outside the scheduler lock: telemetry fans out
-						// to consumers the scheduler must never block on.
-						job.OnTelemetry(index, snap)
-					}
-				}
-				for _, i := range gr.Indices {
-					if data := ckpts.Get(i); len(data) > 0 {
-						gr.Checkpoints[i] = data
-					}
-				}
-				mu.Unlock()
-				err := w.RunGroup(runCtx, job, gr, func(pr PointResult) {
-					mu.Lock()
-					defer mu.Unlock()
-					if pr.Index < 0 || pr.Index >= total || gs.done[pr.Index] {
-						// Out-of-range or duplicate (a requeued group rerunning
-						// a point whose result message was lost): results are
-						// deterministic, so first write wins and the rest drop.
-						return
-					}
-					gs.done[pr.Index] = true
-					// The result landed: its resume checkpoint is garbage now.
-					ckpts.Drop(pr.Index)
-					results[pr.Index] = pr.Result
-					completed++
-					if emit != nil && runCtx.Err() == nil {
-						emit(pr, completed, total)
-					}
-				})
-				mu.Lock()
-				finished := len(gs.done) == len(gs.g.Indices)
-				if err == nil && finished {
-					finishGroupLocked()
-					mu.Unlock()
-					continue
-				}
-				if err == nil {
-					// A worker must either finish its group or report failure;
-					// returning early without doing so is treated as death so a
-					// buggy worker cannot requeue-loop forever.
-					err = errors.New("sweepd: worker returned without completing its group")
-				}
-				if runCtx.Err() != nil {
-					mu.Unlock()
-					return
-				}
-				// Worker died. Its finished results stand; the remainder is
-				// requeued for a surviving worker and this worker retires.
-				live--
-				if finished {
-					finishGroupLocked()
-					mu.Unlock()
-					return
-				}
-				if live == 0 {
-					if failErr == nil {
-						failErr = fmt.Errorf("sweepd: worker failed with no live workers left to requeue on: %w", err)
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				mu.Unlock()
-				queue <- gs
-				return
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mu.Lock()
-	err := failErr
-	mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// remainingLocked returns the group's not-yet-completed indices. Callers
-// hold the scheduler mutex.
-func (gs *groupState) remainingLocked() []int {
-	rem := make([]int, 0, len(gs.g.Indices)-len(gs.done))
-	for _, i := range gs.g.Indices {
-		if !gs.done[i] {
-			rem = append(rem, i)
-		}
-	}
-	return rem
-}
-
 // decodeResume builds the group-local resume map both worker transports
 // hand to sweep.Runner: slot i of the assignment resumes from bytesFor(i)
 // when those bytes decode. Undecodable entries degrade to from-scratch runs
@@ -512,9 +295,8 @@ type LoopbackOptions struct {
 
 // LoopbackWorker runs key-groups in-process through the standard sweep
 // machinery against its own trace cache. It is the loopback transport of
-// the sweep service: Session.Sweep uses a pool of them when no coordinator
-// address is configured, and tests use Kill to exercise the requeue path
-// without a network.
+// the sweep service: Session.Sweep runs its job platform over a pool of
+// them, and tests use Kill to exercise the requeue path without a network.
 type LoopbackWorker struct {
 	opts     LoopbackOptions
 	traces   *tracecache.Cache

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jobd"
 	"repro/internal/sweep"
 	"repro/internal/sweepd"
 	"repro/internal/tracecache"
@@ -63,6 +65,23 @@ func reference(t *testing.T, job *sweepd.Job) []sweep.Result {
 	return res
 }
 
+// run schedules job on a fresh in-memory job platform over workers — the
+// scheduler Session.Sweep uses.
+func run(ctx context.Context, job *sweepd.Job, workers []sweepd.Worker, emit func(sweepd.PointResult, int, int)) ([]sweep.Result, error) {
+	return runWith(ctx, jobd.Options{}, job, workers, emit)
+}
+
+// runWith is run on a platform built with opts (its Pool is workers).
+func runWith(ctx context.Context, opts jobd.Options, job *sweepd.Job, workers []sweepd.Worker, emit func(sweepd.PointResult, int, int)) ([]sweep.Result, error) {
+	opts.Pool = jobd.StaticPool(workers)
+	p, err := jobd.New(opts)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.Run(ctx, job, emit)
+}
+
 func loopbackWorkers(n int) ([]sweepd.Worker, []*sweepd.LoopbackWorker) {
 	ws := make([]sweepd.Worker, n)
 	lws := make([]*sweepd.LoopbackWorker, n)
@@ -93,7 +112,7 @@ func TestRunMatchesDirectRunner(t *testing.T) {
 	job := testJob(t)
 	want := reference(t, job)
 	ws, _ := loopbackWorkers(2)
-	got, err := sweepd.Run(context.Background(), job, ws, nil)
+	got, err := run(context.Background(), job, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +122,21 @@ func TestRunMatchesDirectRunner(t *testing.T) {
 }
 
 // shuffleWorker defers every emission until its group finishes, then emits
-// in reverse completion order — a worst case for result ordering.
+// the group in descending point order — a worst case for result ordering,
+// and deterministic whatever order the group's points completed in.
 type shuffleWorker struct{ inner sweepd.Worker }
 
 func (s shuffleWorker) RunGroup(ctx context.Context, job *sweepd.Job, gr sweepd.GroupRun, emit func(sweepd.PointResult)) error {
+	var mu sync.Mutex
 	var buf []sweepd.PointResult
 	err := s.inner.RunGroup(ctx, job, gr, func(pr sweepd.PointResult) {
+		mu.Lock()
 		buf = append(buf, pr)
+		mu.Unlock()
 	})
-	for i := len(buf) - 1; i >= 0; i-- {
-		emit(buf[i])
+	sort.Slice(buf, func(a, b int) bool { return buf[a].Index > buf[b].Index })
+	for _, pr := range buf {
+		emit(pr)
 	}
 	return err
 }
@@ -129,7 +153,7 @@ func TestResultOrderWithShuffledCompletion(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var emitted []int
-	got, err := sweepd.Run(context.Background(), job, shuffled, func(pr sweepd.PointResult, done, total int) {
+	got, err := run(context.Background(), job, shuffled, func(pr sweepd.PointResult, done, total int) {
 		mu.Lock()
 		emitted = append(emitted, pr.Index)
 		mu.Unlock()
@@ -140,7 +164,7 @@ func TestResultOrderWithShuffledCompletion(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("shuffled completion changed the returned results or their order")
 	}
-	// The emission stream really was out of point order (reversed within
+	// The emission stream really was out of point order (descending within
 	// each group), proving the returned ordering is the scheduler's doing.
 	mu.Lock()
 	defer mu.Unlock()
@@ -158,11 +182,18 @@ func TestResultOrderWithShuffledCompletion(t *testing.T) {
 	}
 }
 
-// workerFunc adapts a function to the Worker interface.
-type workerFunc func(ctx context.Context, job *sweepd.Job, gr sweepd.GroupRun, emit func(sweepd.PointResult)) error
+// funcWorker adapts a function to the Worker interface. Workers are the
+// platform's map keys, so each adapter is a distinct pointer.
+type funcWorker struct {
+	run func(ctx context.Context, job *sweepd.Job, gr sweepd.GroupRun, emit func(sweepd.PointResult)) error
+}
 
-func (f workerFunc) RunGroup(ctx context.Context, job *sweepd.Job, gr sweepd.GroupRun, emit func(sweepd.PointResult)) error {
-	return f(ctx, job, gr, emit)
+func (f *funcWorker) RunGroup(ctx context.Context, job *sweepd.Job, gr sweepd.GroupRun, emit func(sweepd.PointResult)) error {
+	return f.run(ctx, job, gr, emit)
+}
+
+func workerFunc(run func(ctx context.Context, job *sweepd.Job, gr sweepd.GroupRun, emit func(sweepd.PointResult)) error) sweepd.Worker {
+	return &funcWorker{run: run}
 }
 
 // TestWorkerKillRequeues kills a loopback worker after its first emitted
@@ -204,7 +235,7 @@ func TestWorkerKillRequeues(t *testing.T) {
 		return backupLW.RunGroup(ctx, j, gr, emit)
 	})
 
-	got, err := sweepd.Run(context.Background(), job, []sweepd.Worker{killer, backup}, nil)
+	got, err := run(context.Background(), job, []sweepd.Worker{killer, backup}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +319,7 @@ func TestWorkerKillResumesFromCheckpoint(t *testing.T) {
 		return backupLW.RunGroup(ctx, j, gr, emit)
 	})
 
-	got, err := sweepd.Run(context.Background(), job, []sweepd.Worker{killer, backup}, nil)
+	got, err := run(context.Background(), job, []sweepd.Worker{killer, backup}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +350,7 @@ func TestCheckpointBudgetDegradesResume(t *testing.T) {
 		cfg.RBSize = rb
 		pts = append(pts, sweep.Point{Name: "rb=" + itoa(rb), Config: cfg})
 	}
-	job := &sweepd.Job{Profile: p, Instructions: instrs, Points: pts,
-		CheckpointBudget: 1} // nothing fits: every shipment is dropped
+	job := &sweepd.Job{Profile: p, Instructions: instrs, Points: pts}
 	r := sweep.Runner{Workload: job.Profile, Instructions: job.Instructions,
 		Traces: tracecache.New(tracecache.Config{})}
 	want, err := r.Run(context.Background(), job.Points)
@@ -356,7 +386,9 @@ func TestCheckpointBudgetDegradesResume(t *testing.T) {
 		return backupLW.RunGroup(ctx, j, gr, emit)
 	})
 
-	got, err := sweepd.Run(context.Background(), job, []sweepd.Worker{killer, backup}, nil)
+	// A 1-byte budget: nothing fits, so every shipment is dropped.
+	got, err := runWith(context.Background(), jobd.Options{CheckpointBudget: 1}, job,
+		[]sweepd.Worker{killer, backup}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +408,7 @@ func TestCheckpointBudgetDegradesResume(t *testing.T) {
 func TestKeyGroupAffinity(t *testing.T) {
 	job := testJob(t)
 	ws, lws := loopbackWorkers(2)
-	if _, err := sweepd.Run(context.Background(), job, ws, nil); err != nil {
+	if _, err := run(context.Background(), job, ws, nil); err != nil {
 		t.Fatal(err)
 	}
 	var gens, derivs uint64
@@ -396,7 +428,7 @@ func TestKeyGroupAffinity(t *testing.T) {
 func TestRunQueuesFamilyFirst(t *testing.T) {
 	job := testJob(t)
 	ws, lws := loopbackWorkers(1)
-	if _, err := sweepd.Run(context.Background(), job, ws, nil); err != nil {
+	if _, err := run(context.Background(), job, ws, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := lws[0].Traces().Stats(); st.Generations != 1 || st.Derivations != 1 {
@@ -411,7 +443,7 @@ func TestEmitProgressCounters(t *testing.T) {
 	ws, _ := loopbackWorkers(2)
 	var mu sync.Mutex
 	var dones []int
-	_, err := sweepd.Run(context.Background(), job, ws, func(pr sweepd.PointResult, done, total int) {
+	_, err := run(context.Background(), job, ws, func(pr sweepd.PointResult, done, total int) {
 		mu.Lock()
 		defer mu.Unlock()
 		if total != len(job.Points) {
@@ -431,10 +463,10 @@ func TestEmitProgressCounters(t *testing.T) {
 func TestRunRejectsEmptyInputs(t *testing.T) {
 	job := testJob(t)
 	ws, _ := loopbackWorkers(1)
-	if _, err := sweepd.Run(context.Background(), &sweepd.Job{Profile: job.Profile}, ws, nil); err == nil {
+	if _, err := run(context.Background(), &sweepd.Job{Profile: job.Profile}, ws, nil); err == nil {
 		t.Error("empty point list accepted")
 	}
-	if _, err := sweepd.Run(context.Background(), job, nil, nil); err == nil {
+	if _, err := run(context.Background(), job, nil, nil); err == nil {
 		t.Error("empty worker pool accepted")
 	}
 }
@@ -444,13 +476,13 @@ func TestRunRejectsEmptyInputs(t *testing.T) {
 func TestAllWorkersDeadFails(t *testing.T) {
 	job := testJob(t)
 	boom := errors.New("host on fire")
-	dead := workerFunc(func(context.Context, *sweepd.Job, sweepd.GroupRun, func(sweepd.PointResult)) error {
+	dead := func(context.Context, *sweepd.Job, sweepd.GroupRun, func(sweepd.PointResult)) error {
 		return boom
-	})
+	}
 	done := make(chan struct{})
 	var err error
 	go func() {
-		_, err = sweepd.Run(context.Background(), job, []sweepd.Worker{dead, dead}, nil)
+		_, err = run(context.Background(), job, []sweepd.Worker{workerFunc(dead), workerFunc(dead)}, nil)
 		close(done)
 	}()
 	select {
@@ -488,7 +520,7 @@ func TestRunCancellation(t *testing.T) {
 	done := make(chan struct{})
 	var runErr error
 	go func() {
-		_, runErr = sweepd.Run(ctx, job, ws, nil)
+		_, runErr = run(ctx, job, ws, nil)
 		close(done)
 	}()
 	select {

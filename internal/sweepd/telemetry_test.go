@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/jobd"
 	"repro/internal/sweep"
 	"repro/internal/sweepd"
 )
@@ -98,7 +99,7 @@ func TestLoopbackTelemetryEquivalence(t *testing.T) {
 	job.TelemetryEvery = every
 	job.OnTelemetry = col.add
 	ws, _ := loopbackWorkers(2)
-	got, err := sweepd.Run(context.Background(), job, ws, nil)
+	got, err := run(context.Background(), job, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,18 +110,19 @@ func TestLoopbackTelemetryEquivalence(t *testing.T) {
 }
 
 // TestRemoteTelemetryEquivalence: the same guarantee across a real TCP
-// cluster — snapshots ride the worker→coordinator→client wire tagged with
-// job-wide point indices, and the results stay byte-identical to a
-// non-telemetry run.
+// cluster — snapshots ride the worker→coordinator wire tagged with
+// job-wide point indices and reach the client through the HTTP door's
+// telemetry stream, and the results stay byte-identical to a non-telemetry
+// run.
 func TestRemoteTelemetryEquivalence(t *testing.T) {
-	addr, _ := cluster(t, 2, nil)
+	const every = 2048
+	d := serveDoor(t, sweepd.NewCoordinator(), jobd.Options{TelemetryEvery: every})
+	d.workers(t, 2)
 	job := testJob(t)
 	want := reference(t, job)
-	const every = 2048
 	col := newTelemetryCollector()
-	job.TelemetryEvery = every
 	job.OnTelemetry = col.add
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := d.cli.Sweep(context.Background(), job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

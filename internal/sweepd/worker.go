@@ -236,7 +236,7 @@ func serveAssignment(ctx context.Context, w *wire, asg *Assignment, opts WorkerO
 		},
 		// Telemetry streams at the job's cadence (carried by the
 		// assignment); snapshots ship with the job-wide point index so the
-		// coordinator and client never see group-relative slots. Pipe-trace
+		// coordinator never sees group-relative slots. Pipe-trace
 		// tails are a local-sink feature and the runner never produces them.
 		TelemetryEvery: asg.TelemetryEvery,
 		OnResult: func(i int, res sweep.Result) {

@@ -255,9 +255,9 @@ var (
 )
 
 // Shared returns the process-wide cache with default bounds. The public
-// resim Session defaults to it, as do the evaluation tables and the
-// deprecated free functions, so mixed old- and new-style callers in one
-// process share a single set of generated traces.
+// resim Session defaults to it, as do the evaluation tables, so
+// independent callers in one process share a single set of generated
+// traces.
 func Shared() *Cache {
 	sharedOnce.Do(func() { sharedCache = New(Config{}) })
 	return sharedCache
@@ -583,9 +583,10 @@ func derive(donor *Trace, k Key) *Trace {
 // keys (one per group or point; duplicates allowed) so that derivation can
 // replace generation: first the longest wrong-path key of every family, in
 // the order families are first seen, then every other index in input order.
-// A key outside any family counts as the longest of its own. Both local
-// schedulers — sweepd.Run's group queue and sweep.Runner's point feed —
-// use it.
+// A key outside any family counts as the longest of its own. Both
+// schedulers use it: the job platform (internal/jobd) orders each job's
+// key-groups by it — for Session.Sweep and service jobs alike — and
+// sweep.Runner orders its point feed.
 func DispatchOrder(keys []Key) []int {
 	heads, _ := familyHeads(keys)
 	order := append(make([]int, 0, len(keys)), heads...)

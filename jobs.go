@@ -2,8 +2,6 @@ package resim
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"repro/internal/jobd"
 	"repro/internal/sweepd"
@@ -27,8 +25,8 @@ type JobStatus = jobd.JobStatus
 // JobHandle.Telemetry.
 type JobState = jobd.State
 
-// JobHandle tracks one job submitted to a job service. Unlike SweepRemote,
-// the submission is durable server-side the moment SubmitRemote returns:
+// JobHandle tracks one job submitted to a job service. The submission is
+// durable server-side the moment SubmitRemote returns:
 // the handle's owner can exit and a later process (or `resim jobs`) can
 // pick the results up by ID, and a crashed coordinator recovers the job
 // from its journal.
@@ -40,8 +38,9 @@ type JobHandle struct {
 
 // SubmitRemote submits a sweep to the job service at server (base URL,
 // e.g. "http://coordinator:8080") and returns immediately with a handle.
-// The design points must be expressible on the wire — the same
-// serializability contract as SweepRemote, validated before submitting.
+// The design points must be expressible on the wire, validated before
+// submitting. SweepRemote is SubmitRemote followed by waiting for the
+// results.
 //
 // Where Sweep and SweepRemote block for results, SubmitRemote queues: the
 // service admits the job (or refuses with queue-full/tenant-busy, a
@@ -121,31 +120,5 @@ func (h *JobHandle) Trace(ctx context.Context, sink func(TraceSpan) error) (JobS
 // service is byte-for-byte comparable to a local one. A canceled or failed
 // job returns an error.
 func (h *JobHandle) Results(ctx context.Context) ([]SweepResult, error) {
-	wrs := make([]*sweepd.WireResult, len(h.job.Points))
-	state, err := h.client.Results(ctx, h.id, func(wr *sweepd.WireResult) error {
-		if wr.Index < 0 || wr.Index >= len(wrs) {
-			return fmt.Errorf("resim: job %s streamed result for unknown point %d", h.id, wr.Index)
-		}
-		wrs[wr.Index] = wr
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if state != jobd.StateDone {
-		return nil, fmt.Errorf("resim: job %s ended %s", h.id, state)
-	}
-	results := make([]SweepResult, len(h.job.Points))
-	for i, wr := range wrs {
-		if wr == nil {
-			return nil, fmt.Errorf("resim: job %s finished without a result for point %d", h.id, i)
-		}
-		results[i] = SweepResult{Point: h.job.Points[i]}
-		if wr.Err != "" {
-			results[i].Err = errors.New(wr.Err)
-		} else if wr.Res != nil {
-			results[i].Res = wr.Res.Result(h.job.Points[i].Config)
-		}
-	}
-	return results, nil
+	return h.client.Collect(ctx, h.id, h.job, nil)
 }

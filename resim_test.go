@@ -1,6 +1,7 @@
 package resim_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,9 +10,19 @@ import (
 	resim "repro"
 )
 
-func TestSimulateWorkloadQuickstart(t *testing.T) {
+// withConfig builds a session over an already-composed configuration.
+func withConfig(t *testing.T, cfg resim.Config) *resim.Session {
+	t.Helper()
+	s, err := resim.New(resim.WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestRunWorkloadQuickstart(t *testing.T) {
 	cfg := resim.DefaultConfig()
-	res, err := resim.SimulateWorkload(cfg, "gzip", 30_000)
+	res, err := withConfig(t, cfg).RunWorkload(context.Background(), "gzip", 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +44,7 @@ func TestSimulateWorkloadQuickstart(t *testing.T) {
 }
 
 func TestUnknownWorkloadRejected(t *testing.T) {
-	if _, err := resim.SimulateWorkload(resim.DefaultConfig(), "mcf", 1000); err == nil {
+	if _, err := withConfig(t, resim.DefaultConfig()).RunWorkload(context.Background(), "mcf", 1000); err == nil {
 		t.Error("unknown workload accepted")
 	}
 	if _, err := resim.WorkloadByName("nope"); err == nil {
@@ -60,7 +71,7 @@ func TestTraceFileRoundTripThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := resim.WriteWorkloadTrace(f, cfg, "vpr", 20_000)
+	st, err := withConfig(t, cfg).WriteTrace(context.Background(), f, "vpr", 20_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +86,11 @@ func TestTraceFileRoundTripThroughPublicAPI(t *testing.T) {
 	}
 
 	// Off-line simulation of the file must equal on-the-fly simulation.
-	offline, err := resim.SimulateTraceFile(cfg, path)
+	offline, err := withConfig(t, cfg).RunTrace(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	online, err := resim.SimulateWorkload(cfg, "vpr", 20_000)
+	online, err := withConfig(t, cfg).RunWorkload(context.Background(), "vpr", 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func TestCompressedTraceFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawStats, err := resim.WriteWorkloadTrace(fr, cfg, "gzip", 15_000)
+	rawStats, err := withConfig(t, cfg).WriteTrace(context.Background(), fr, "gzip", 15_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +119,7 @@ func TestCompressedTraceFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compStats, err := resim.WriteCompressedWorkloadTrace(fc, cfg, "gzip", 15_000)
+	compStats, err := withConfig(t, cfg).WriteTrace(context.Background(), fc, "gzip", 15_000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +132,11 @@ func TestCompressedTraceFileRoundTrip(t *testing.T) {
 		t.Errorf("compression did not shrink the trace: %d >= %d bits", compStats.Bits, rawStats.Bits)
 	}
 	// Both containers simulate identically (format auto-detected).
-	a, err := resim.SimulateTraceFile(cfg, rawPath)
+	a, err := withConfig(t, cfg).RunTrace(context.Background(), rawPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := resim.SimulateTraceFile(cfg, compPath)
+	b, err := withConfig(t, cfg).RunTrace(context.Background(), compPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +155,7 @@ func TestCustomCacheConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.DCache = dl1
-	res, err := resim.SimulateWorkload(cfg, "parser", 20_000)
+	res, err := withConfig(t, cfg).RunWorkload(context.Background(), "parser", 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +192,9 @@ func TestRenderPipelinePublicAPI(t *testing.T) {
 	}
 }
 
-func TestSimulateMulticoreFacade(t *testing.T) {
+func TestMulticoreFacade(t *testing.T) {
 	cfg := resim.DefaultConfig()
-	res, err := resim.SimulateMulticore(cfg, resim.MulticoreOptions{
+	res, err := withConfig(t, cfg).Multicore(context.Background(), resim.MulticoreOptions{
 		Workloads: []string{"gzip", "vpr"},
 		Limit:     10_000,
 	})
@@ -200,7 +211,7 @@ func TestSimulateMulticoreFacade(t *testing.T) {
 		t.Errorf("aggregate MIPS = %v", mips)
 	}
 	// Shared-L2 variant runs and interferes.
-	shared, err := resim.SimulateMulticore(cfg, resim.MulticoreOptions{
+	shared, err := withConfig(t, cfg).Multicore(context.Background(), resim.MulticoreOptions{
 		Workloads: []string{"gzip", "bzip2"},
 		Limit:     10_000,
 		L1: &resim.CacheConfig{Name: "dl1", SizeBytes: 4 << 10, Assoc: 2,
@@ -215,10 +226,10 @@ func TestSimulateMulticoreFacade(t *testing.T) {
 		t.Error("shared-L2 cluster saw no D-cache traffic")
 	}
 	// Error paths.
-	if _, err := resim.SimulateMulticore(cfg, resim.MulticoreOptions{}); err == nil {
+	if _, err := withConfig(t, cfg).Multicore(context.Background(), resim.MulticoreOptions{}); err == nil {
 		t.Error("empty workload list accepted")
 	}
-	if _, err := resim.SimulateMulticore(cfg, resim.MulticoreOptions{
+	if _, err := withConfig(t, cfg).Multicore(context.Background(), resim.MulticoreOptions{
 		Workloads: []string{"gzip"},
 		SharedL2:  &resim.CacheConfig{Name: "l2", SizeBytes: 32 << 10, Assoc: 8, BlockBytes: 64, HitLatency: 6, MissLatency: 40},
 	}); err == nil {
@@ -227,7 +238,7 @@ func TestSimulateMulticoreFacade(t *testing.T) {
 }
 
 func TestResultReport(t *testing.T) {
-	res, err := resim.SimulateWorkload(resim.DefaultConfig(), "bzip2", 10_000)
+	res, err := withConfig(t, resim.DefaultConfig()).RunWorkload(context.Background(), "bzip2", 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/funcsim"
+	"repro/internal/jobd"
 	"repro/internal/multicore"
 	"repro/internal/sweep"
 	"repro/internal/sweepd"
@@ -37,9 +38,8 @@ type Session struct {
 	// traces memoizes generated workload traces across runs, sweeps and
 	// clusters; nil disables caching (streaming regeneration per run).
 	traces *tracecache.Cache
-	// coordAddr, when non-empty, routes Sweep through the sweepd
-	// coordinator at that address instead of the in-process loopback
-	// scheduler (WithCoordinator).
+	// coordAddr, when non-empty, routes Sweep through the job service at
+	// that base URL instead of an in-process platform (WithCoordinator).
 	coordAddr string
 	// ckptEvery/ckptSink enable periodic engine-state serialization
 	// (WithCheckpointEvery); resume, when non-nil, starts single-engine
@@ -243,12 +243,13 @@ func WithObserver(obs Observer, everyCycles uint64) Option {
 // occupancy, plus window IPC and miss rates — at every everyCycles boundary
 // of a run (0 = a default interval; boundaries are absolute cycle
 // multiples, like observer callbacks). Single-engine runs deliver snapshots
-// with Core 0 and a sink error aborts the run. Sweeps through this session
-// (local and remote) stream every in-flight point's snapshots tagged with
-// the point's job-wide index in Snapshot.Core; delivery there is
-// fire-and-forget and may be concurrent across points, so the sink must be
-// safe for concurrent use and its error is ignored. Multicore clusters do
-// not stream telemetry.
+// with Core 0 and a sink error aborts the run. Local sweeps through this
+// session stream every in-flight point's snapshots tagged with the point's
+// job-wide index in Snapshot.Core; delivery there is fire-and-forget and
+// may be concurrent across points, so the sink must be safe for concurrent
+// use and its error is ignored. Remote sweeps (SweepRemote) deliver the
+// job service's snapshots to the same sink, at the service's cadence.
+// Multicore clusters do not stream telemetry.
 func WithTelemetry(sink func(IntervalSnapshot) error, everyCycles uint64) Option {
 	return func(s *settings) error {
 		if sink == nil {
@@ -262,8 +263,7 @@ func WithTelemetry(sink func(IntervalSnapshot) error, everyCycles uint64) Option
 
 // WithTraceCache selects the trace cache the session's runs, sweeps and
 // clusters share. Sessions default to the process-wide shared cache
-// (resim.SharedTraceCache), so every session — and the deprecated free
-// functions, which build sessions internally — reuses one set of generated
+// (resim.SharedTraceCache), so every session reuses one set of generated
 // traces. Pass a private cache to isolate a session (its own memory budget
 // or spill directory), or nil to disable caching entirely and regenerate
 // the trace on every run (streaming, nothing materialized).
@@ -313,12 +313,14 @@ func ResumeFrom(cp *Checkpoint) Option {
 	}
 }
 
-// WithCoordinator routes the session's Sweep calls through the sharded
-// sweep service coordinator at addr (host:port, as served by
-// `resimd -role coordinator`): points are sharded by trace key across the
-// coordinator's registered workers and results stream back in point order,
-// exactly as SweepRemote. The empty address restores the default
-// in-process loopback scheduler. Other run modes are unaffected.
+// WithCoordinator routes the session's Sweep calls through the job service
+// at addr (its HTTP base URL, as served by `resimd -role coordinator
+// -http`): points are sharded by trace key across the coordinator's
+// registered workers and results stream back in point order, exactly as
+// SweepRemote — including its queueing while the service has no live
+// worker, so Sweep calls need a ctx deadline when the fleet may be empty.
+// The empty address restores the default in-process platform. Other run
+// modes are unaffected.
 func WithCoordinator(addr string) Option {
 	return func(s *settings) error {
 		s.coordAddr = addr
@@ -432,18 +434,13 @@ func (s *Session) RunTrace(ctx context.Context, path string) (Result, error) {
 // predictor configuration drives wrong-path block generation, mirroring
 // sim-bpred. The context is polled periodically; a cancelled write returns
 // ctx.Err().
+//
+// A cacheable write goes through the trace cache — writing the same
+// workload twice (raw then compressed, say) generates once — and encodes
+// the memoized records; uncacheable budgets stream straight from the
+// functional simulator.
 func (s *Session) WriteTrace(ctx context.Context, w io.Writer, name string, limit uint64, compress bool) (TraceStats, error) {
-	return writeTrace(ctx, w, s.traces, s.cfg.TraceConfig(), name, limit, compress)
-}
-
-// writeTrace is the shared trace-writing loop. It takes the derived
-// trace-generation configuration directly so the deprecated free-function
-// wrappers can keep their historical behavior of not validating the
-// engine-side Config fields a trace write never consumes. A cacheable write
-// goes through the trace cache — writing the same workload twice (raw then
-// compressed, say) generates once — and encodes the memoized records;
-// uncacheable budgets stream straight from the functional simulator.
-func writeTrace(ctx context.Context, w io.Writer, traces *tracecache.Cache, tc funcsim.TraceConfig, name string, limit uint64, compress bool) (TraceStats, error) {
+	traces, tc := s.traces, s.cfg.TraceConfig()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -539,13 +536,12 @@ func newTraceSink(w io.Writer, hdr trace.Header, compress bool) (traceSink, erro
 // context aborts in-flight engines and returns ctx.Err() once every worker
 // has drained.
 //
-// Sweeps run on the sharded sweep scheduler (internal/sweepd): points are
-// grouped by trace key so every distinct trace is generated exactly once,
-// and key-groups fan out across an in-process loopback worker pool sharing
-// the session's trace cache. A session built WithCoordinator instead ships
-// the same job to that coordinator's worker fleet — the local and remote
-// paths share one scheduler, so semantics and result ordering are
-// identical either way.
+// Sweeps run on the job platform (internal/jobd), the scheduler the job
+// service uses too: points are grouped by trace key so every distinct
+// trace is generated exactly once, and key-groups fan out across an
+// in-process pool of loopback workers sharing the session's trace cache.
+// A session built WithCoordinator instead sends the sweep to that job
+// service (see SweepRemote).
 func (s *Session) Sweep(ctx context.Context, workloadName string, instructions uint64, points []SweepPoint) ([]SweepResult, error) {
 	if s.coordAddr != "" {
 		return s.SweepRemote(ctx, s.coordAddr, workloadName, instructions, points)
@@ -581,14 +577,8 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 		}
 		defer s.traces.PrefetchFamilies(ctx, keys)()
 	}
-	nw := len(groups)
-	if nw > maxProcs {
-		nw = maxProcs
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	workers := make([]sweepd.Worker, nw)
+	nw := min(len(groups), maxProcs)
+	workers := make(jobd.StaticPool, nw)
 	for i := range workers {
 		workers[i] = sweepd.NewLoopbackWorker(sweepd.LoopbackOptions{
 			Parallelism:  maxProcs,
@@ -600,23 +590,37 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 			CheckpointEvery: s.sweepCheckpointEvery(),
 		})
 	}
-	return sweepd.Run(ctx, job, workers, s.sweepEmit())
+	// A platform per call, without a journal: the sweep's state lives and
+	// dies with this call.
+	p, err := jobd.New(jobd.Options{Pool: workers})
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.Run(ctx, job, s.sweepEmit())
 }
 
-// SweepRemote runs the sweep through the sweepd coordinator at addr — the
-// client side of the sharded sweep service (cmd/resimd). The signature,
-// result ordering and observer behavior match Sweep: results return in
-// point order regardless of which worker host finished what, and the
-// session's observer receives one callback per completed point with the
-// coordinator-side Done/Total counters as they stream in. Points must be
+// SweepRemote runs the sweep through the job service at server (its HTTP
+// base URL, e.g. "http://coordinator:8080", as served by `resimd -role
+// coordinator -http`) and blocks for the results. The signature, result
+// ordering and observer behavior match Sweep: results return in point
+// order regardless of which worker host finished what, and the session's
+// observer receives one callback per result streamed back. Points must be
 // expressible on the wire: custom cache models and pipe tracers cannot
-// cross the network and fail fast before dialing.
-func (s *Session) SweepRemote(ctx context.Context, addr, workloadName string, instructions uint64, points []SweepPoint) ([]SweepResult, error) {
+// cross the network and fail fast before submitting. A WithTelemetry sink
+// receives the service's live snapshots for the job, at the service's
+// cadence. The submission carries no bearer token, so it suits services
+// running without -tenants; for an authenticated service use SubmitRemote
+// with SubmitOptions.Token. Cancelling ctx cancels the job service-side.
+// The service queues a job while it has no live worker rather than
+// failing it, so give ctx a deadline when the worker fleet may be empty.
+func (s *Session) SweepRemote(ctx context.Context, server, workloadName string, instructions uint64, points []SweepPoint) ([]SweepResult, error) {
 	job, err := s.sweepJob(workloadName, instructions, points)
 	if err != nil {
 		return nil, err
 	}
-	return sweepd.RunRemote(ctx, addr, job, s.cfg.Observer)
+	c := &jobd.Client{Server: server}
+	return c.Sweep(ctx, job, s.sweepEmit())
 }
 
 // sweepCheckpointEvery returns the per-point checkpoint cadence for local
@@ -648,8 +652,8 @@ func (s *Session) sweepTelemetryEvery() uint64 {
 
 // sweepJob resolves a sweep invocation into a scheduler job. A session that
 // opted into telemetry extends it to sweeps: the job carries the cadence
-// (which crosses the wire for remote sweeps) and adapts the session sink to
-// the scheduler's indexed fire-and-forget delivery.
+// (local sweeps only; a job service applies its own) and adapts the
+// session sink to the scheduler's indexed fire-and-forget delivery.
 func (s *Session) sweepJob(workloadName string, instructions uint64, points []SweepPoint) (*sweepd.Job, error) {
 	p, err := workload.ByName(workloadName)
 	if err != nil {

@@ -232,27 +232,6 @@ func TestNilContextRunsLikeBackground(t *testing.T) {
 	}
 }
 
-// TestWrapperSessionEquivalence pins the deprecated free functions to the
-// Session they delegate to: identical counters on a fixed workload.
-func TestWrapperSessionEquivalence(t *testing.T) {
-	cfg := resim.DefaultConfig()
-	old, err := resim.SimulateWorkload(cfg, "gzip", 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses, err := resim.New(resim.WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := ses.RunWorkload(context.Background(), "gzip", 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Counters != now.Counters {
-		t.Errorf("wrapper and Session results differ:\nold %+v\nnew %+v", old.Counters, now.Counters)
-	}
-}
-
 func TestRunWorkloadCancellation(t *testing.T) {
 	ses, err := resim.New()
 	if err != nil {
@@ -272,10 +251,13 @@ func TestRunWorkloadCancellationMidRun(t *testing.T) {
 	var mu sync.Mutex
 	var last resim.Progress
 	var calls, finals int
+	started := make(chan struct{})
 	ses, err := resim.New(resim.WithObserver(resim.ObserverFunc(func(p resim.Progress) {
 		mu.Lock()
 		defer mu.Unlock()
-		calls++
+		if calls++; calls == 1 {
+			close(started)
+		}
 		last = p
 		if p.Final {
 			finals++
@@ -293,7 +275,13 @@ func TestRunWorkloadCancellationMidRun(t *testing.T) {
 		res, err = ses.RunWorkload(ctx, "gzip", 1<<62)
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	// Cancel once the run is provably mid-run: a fixed sleep could land
+	// before the engine's first cycle on a slow (-race) host.
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run delivered no observer callback within 10s")
+	}
 	cancel()
 	select {
 	case err := <-done:
@@ -305,9 +293,6 @@ func TestRunWorkloadCancellationMidRun(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if calls == 0 {
-		t.Fatal("cancelled run delivered no observer callbacks")
-	}
 	if finals != 0 {
 		t.Errorf("cancelled run delivered %d Final callbacks, want 0", finals)
 	}
@@ -867,31 +852,33 @@ func TestSweepThroughSessionSharesCache(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersShareProcessCache: old free-function callers and
-// Session callers meet in the process-wide cache, so mixed code never
-// double-generates. The wrapper run may itself hit an entry cached by an
+// TestSessionsShareProcessCache: separately built sessions default to the
+// process-wide cache, so independent callers in one process never
+// double-generate. The first run may itself hit an entry cached by an
 // earlier test (or a previous -count iteration), so the assertion is that
-// the session run adds no generation beyond the wrapper's, not an absolute
-// count.
-func TestDeprecatedWrappersShareProcessCache(t *testing.T) {
+// the second session adds no generation beyond the first's, not an
+// absolute count.
+func TestSessionsShareProcessCache(t *testing.T) {
 	const limit = 7321
+	run := func() {
+		t.Helper()
+		ses, err := resim.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ses.RunWorkload(context.Background(), "gzip", limit); err != nil {
+			t.Fatal(err)
+		}
+	}
 	before := resim.SharedTraceCache().Generations()
-	if _, err := resim.SimulateWorkload(resim.DefaultConfig(), "gzip", limit); err != nil {
-		t.Fatal(err)
+	run()
+	afterFirst := resim.SharedTraceCache().Generations()
+	if d := afterFirst - before; d > 1 {
+		t.Errorf("first session generated %d traces, want at most 1", d)
 	}
-	afterWrapper := resim.SharedTraceCache().Generations()
-	if d := afterWrapper - before; d > 1 {
-		t.Errorf("wrapper run generated %d traces, want at most 1", d)
-	}
-	ses, err := resim.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ses.RunWorkload(context.Background(), "gzip", limit); err != nil {
-		t.Fatal(err)
-	}
-	if got := resim.SharedTraceCache().Generations(); got != afterWrapper {
-		t.Errorf("session run after the wrapper added %d generations, want 0 (shared cache)", got-afterWrapper)
+	run()
+	if got := resim.SharedTraceCache().Generations(); got != afterFirst {
+		t.Errorf("second session added %d generations, want 0 (shared cache)", got-afterFirst)
 	}
 }
 

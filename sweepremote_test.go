@@ -3,26 +3,40 @@ package resim_test
 import (
 	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	resim "repro"
+	"repro/internal/jobd"
 	"repro/internal/sweepd"
 	"repro/internal/tracecache"
 )
 
-// startCluster brings up a coordinator and n resimd-style workers (each
-// with its own trace cache, standing in for distinct hosts) on localhost.
+// startCluster brings up the job service as cmd/resimd assembles it — a
+// coordinator registering n TCP workers (each with its own trace cache,
+// standing in for distinct hosts) and a job platform over them — and
+// returns its HTTP door's base URL.
 func startCluster(t *testing.T, n int) (string, []*tracecache.Cache) {
 	t.Helper()
 	coord := sweepd.NewCoordinator()
+	p, err := jobd.New(jobd.Options{Pool: coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.OnWorkersChanged = p.Kick
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { coord.Close() })
+	srv := httptest.NewServer(p.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		p.Close()
+		coord.Close()
+	})
 	wctx, stop := context.WithCancel(context.Background())
 	t.Cleanup(stop)
 	caches := make([]*tracecache.Cache, n)
@@ -37,7 +51,7 @@ func startCluster(t *testing.T, n int) (string, []*tracecache.Cache) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	return addr, caches
+	return srv.URL, caches
 }
 
 // acceptancePoints is a 4-point sweep with exactly 2 distinct trace keys:
@@ -56,9 +70,9 @@ func acceptancePoints(base resim.Config) []resim.SweepPoint {
 	return pts
 }
 
-// TestSweepRemoteMatchesSweep is the PR's acceptance criterion: a 4-point
-// sweep with 2 distinct trace keys served through SweepRemote against a
-// 2-worker loopback cluster produces exactly 2 traces total (asserted via
+// TestSweepRemoteMatchesSweep: a 4-point sweep with 2 distinct trace keys
+// served through SweepRemote — the HTTP door — against a 2-worker
+// loopback TCP cluster produces exactly 2 traces total (asserted via
 // tracecache.Stats: the keys share a wrong-path family, so a worker holding
 // both groups derives the shorter trace instead of generating it) and
 // returns results byte-identical to Session.Sweep on the same points.
@@ -113,7 +127,7 @@ func TestSweepRemoteMatchesSweep(t *testing.T) {
 }
 
 // TestWithCoordinatorRoutesSweep: a session built WithCoordinator runs its
-// plain Sweep calls through the remote service transparently.
+// plain Sweep calls through the job service's HTTP door transparently.
 func TestWithCoordinatorRoutesSweep(t *testing.T) {
 	const instrs = 6000
 	ctx := context.Background()
@@ -187,7 +201,9 @@ func TestSweepObserverDoneTotal(t *testing.T) {
 }
 
 // TestSweepRemoteForwardsObserver: SweepRemote feeds the session observer
-// the coordinator-side progress stream.
+// one callback per streamed result, and the WithTelemetry sink the
+// service's snapshots, tagged with point indices, whose windows sum back to
+// each point's final result.
 func TestSweepRemoteForwardsObserver(t *testing.T) {
 	addr, _ := startCluster(t, 2)
 	var (
@@ -195,6 +211,7 @@ func TestSweepRemoteForwardsObserver(t *testing.T) {
 		calls  int
 		finals int
 		lastD  int
+		snaps  = map[int][]resim.IntervalSnapshot{}
 	)
 	ses, err := resim.New(resim.WithObserver(resim.ObserverFunc(func(p resim.Progress) {
 		mu.Lock()
@@ -210,12 +227,20 @@ func TestSweepRemoteForwardsObserver(t *testing.T) {
 		if p.Final {
 			finals++
 		}
-	}), 0))
+	}), 0), resim.WithTelemetry(func(s resim.IntervalSnapshot) error {
+		mu.Lock()
+		defer mu.Unlock()
+		snaps[s.Core] = append(snaps[s.Core], s)
+		return nil
+	}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := acceptancePoints(ses.Config())
-	if _, err := ses.SweepRemote(context.Background(), addr, "gzip", 5000, pts); err != nil {
+	// Points from the default config: ses.Config() carries the telemetry
+	// sink, which cannot cross the wire.
+	pts := acceptancePoints(resim.DefaultConfig())
+	res, err := ses.SweepRemote(context.Background(), addr, "gzip", 8000, pts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -225,5 +250,19 @@ func TestSweepRemoteForwardsObserver(t *testing.T) {
 	}
 	if finals != 1 {
 		t.Errorf("final callbacks = %d, want exactly 1 (and monotonic Done)", finals)
+	}
+	for i, r := range res {
+		var cycles, committed uint64
+		for k, s := range snaps[i] {
+			if s.Seq != uint64(k) {
+				t.Fatalf("point %d: snapshot %d has seq %d (gap or reorder)", i, k, s.Seq)
+			}
+			cycles += s.EndCycle - s.StartCycle
+			committed += s.Counters.Committed
+		}
+		if cycles != r.Res.Cycles || committed != r.Res.Committed {
+			t.Errorf("point %d: %d telemetry windows sum to %d cycles / %d committed, result has %d / %d",
+				i, len(snaps[i]), cycles, committed, r.Res.Cycles, r.Res.Committed)
+		}
 	}
 }
